@@ -303,12 +303,13 @@ def _close(edges):
 
     Strengths are linearly ordered by inclusion, so each is replaced by its
     rank in the sorted table and the closure runs on machine integers: meet
-    is min, inclusion is <=, strictly-below is a table lookup.  Rows live in
-    one dense matrix and every consequence of the frame conditions is an
-    instance of two row rewrites, for a present edge x -> y of rank r:
+    is min, inclusion is <=, strictly-below is a table lookup.  The rank
+    dtype is the smallest unsigned type that holds len(table), so it cannot
+    overflow.  Rows live in one dense matrix m (0 = no edge), and each row x
+    is closed by two whole-matrix (max, min) products over all y at once:
 
-      transitivity   row(x) := max(row(x), min(r, row(y)))
-      pairing        row(y) := max(row(y), min(below(r), row(x)))
+      transitivity   row(x) := max(row(x), max_y min(m[x,y], row(y)))
+      pairing        row(y) := max(row(y), min(below(m[x,y]), row(x)))
 
     (the y = y column of the pairing rewrite is the reflexive self-loop).
     Updates only raise ranks, so sweeping until the matrix sum is stable
@@ -317,13 +318,14 @@ def _close(edges):
     """
     table = _strength_table(edges)
     rank = {s: r for r, s in enumerate(table) if r > 0}
-    below = [0] * len(table)
+    dtype = np.min_scalar_type(len(table))
+    below = np.zeros(len(table), dtype=dtype)
     for r in range(1, len(table)):
         b = _s_below(table[r])
         below[r] = 0 if b is None else rank[b]
 
     n = len(edges)
-    m = np.zeros((n, n), dtype=np.int16)
+    m = np.zeros((n, n), dtype=dtype)
     for x, row in enumerate(edges):
         for y, s in row.items():
             m[x, y] = rank[s]
@@ -334,26 +336,16 @@ def _close(edges):
         if fresh == total:
             break
         total = fresh
-        for x in range(n - 1, -1, -1):
-            _close_row(m, x, below)
-        for x in range(n):
-            _close_row(m, x, below)
+        for x in (*range(n - 1, -1, -1), *range(n)):
+            row = m[x]
+            np.maximum(row, np.minimum(row[:, None], m).max(axis=0), out=row)
+            np.maximum(m, np.minimum(below[row][:, None], row), out=m)
 
     out = []
-    for x in range(n):
-        row = m[x]
-        out.append({int(y): int(row[y]) for y in np.nonzero(row)[0]})
+    for row in m:
+        ys = np.nonzero(row)[0]
+        out.append(dict(zip(ys.tolist(), row[ys].tolist())))
     return out, table
-
-
-def _close_row(m, x, below):
-    row = m[x]
-    for y in np.nonzero(row)[0]:
-        r = int(row[y])
-        np.maximum(row, np.minimum(r, m[y]), out=row)
-        b = below[r]
-        if b:
-            np.maximum(m[y], np.minimum(b, row), out=m[y])
 
 
 def model_check(model, node, f):

@@ -2,16 +2,22 @@
 
 Decision procedure (closure model + model check), certificate search,
 and word normal forms.  The randomized schema torture lives in the
-acceptance suite; this file keeps the hand-sized cases.
+acceptance suite; this file keeps the hand-sized cases, the per-edge
+reference closure that the numpy closure is checked against, and a
+size-800 timing gate.
 """
+
+import random
+import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import rand_formula, rc_formulas
+from conftest import SMALL_ORDINALS, rand_formula, rand_ordinal, rc_formulas
 from rcworm import rc
 from rcworm.errors import NotVariableFreeError
-from rcworm.ordinal import OMEGA, ONE, ZERO, add, from_int, phi
+from rcworm.ordinal import OMEGA, ONE, ZERO, add, compare, from_int, phi
 from rcworm.syntax import parse_formula, parse_worm, render
 from rcworm.worm import Worm
 
@@ -81,6 +87,111 @@ def test_minimal_model_pairing_edge():
     m = rc.build_minimal_model(f("<2>p & <1>q"))
     # the closure must add a 1-edge from the p-node to the q-node
     assert rc.model_check(m, 0, f("<2>(p & <1>q)"))
+
+
+def reference_model(f):
+    """The per-edge closure on Python dicts: (labels, edges, strengths).
+
+    Seeds one node per diamond occurrence in the order build_minimal_model
+    does, then applies the two frame rewrites one present edge x -> y at a
+    time, sweeping bottom-up then top-down until a round changes nothing.
+    """
+    labels, seeded = [set()], [{}]
+
+    def seed(node, g):
+        for p in g.conjuncts if isinstance(g, rc.And) else (g,):
+            if isinstance(p, rc.Var):
+                labels[node].add(p.name)
+            elif isinstance(p, rc.Diam):
+                labels.append(set())
+                seeded.append({})
+                seeded[node][len(labels) - 1] = (p.index, True)
+                seed(len(labels) - 1, p.body)
+
+    seed(0, f)
+    table = rc._strength_table(seeded)
+    rank = {s: r for r, s in enumerate(table) if r > 0}
+    below = [0] + [rank.get(rc._s_below(s), 0) for s in table[1:]]
+    edges = [{y: rank[s] for y, s in row.items()} for row in seeded]
+
+    def raise_to(row, z, v):
+        if v > row.get(z, 0):
+            row[z] = v
+            return True
+        return False
+
+    n = len(edges)
+    changed = True
+    while changed:
+        changed = False
+        for x in [*range(n - 1, -1, -1), *range(n)]:
+            row = edges[x]
+            for y in list(row):
+                r = row[y]
+                for z, s in list(edges[y].items()):
+                    changed |= raise_to(row, z, min(r, s))
+                if below[r]:
+                    for z, s in list(row.items()):
+                        changed |= raise_to(edges[y], z, min(below[r], s))
+    return [frozenset(s) for s in labels], edges, table
+
+
+def assert_matches_reference(f):
+    model = rc.build_minimal_model(f)
+    labels, edges, strengths = reference_model(f)
+    assert model.labels == labels
+    assert model.edges == edges
+    assert model.strengths == strengths
+    return model
+
+
+def transfinite_pool(rng, count):
+    """`count` distinct random notations at or above omega."""
+    pool, seen = [], set()
+    while len(pool) < count:
+        candidate = rand_ordinal(rng, 3)
+        if compare(candidate, OMEGA) >= 0 and render(candidate) not in seen:
+            seen.add(render(candidate))
+            pool.append(candidate)
+    return pool
+
+
+def test_closure_matches_reference_on_random_formulas():
+    rng = random.Random(2024)
+    mixed = SMALL_ORDINALS + [from_int(k) for k in range(5, 9)]
+    for _ in range(500):
+        assert_matches_reference(
+            rc.normalize(rand_formula(rng, rng.randrange(1, 50), mixed))
+        )
+    pool = transfinite_pool(rng, 50)
+    for _ in range(3):
+        assert_matches_reference(rc.normalize(rand_formula(rng, 200, pool)))
+
+
+def test_closure_rank_dtype_holds_wide_tables():
+    # 55 diamonds whose strength table outgrows one byte of rank
+    f = rc.conj(tuple(
+        rc.Diam(add(phi(from_int(a), from_int(b)), THREE), rc.TOP)
+        for a in range(5)
+        for b in range(1, 12)
+    ))
+    model = assert_matches_reference(rc.normalize(f))
+    ranks = [r for row in model.edges for r in row.values()]
+    assert len(model.strengths) > 256 and max(ranks) > 255
+    assert max(ranks) < len(model.strengths)
+
+
+def test_derives_size_800_median_under_one_second():
+    rng = random.Random(800)
+    pool = transfinite_pool(rng, 50)
+    timings = []
+    for _ in range(5):
+        lhs = rand_formula(rng, 800, pool)
+        rhs = rand_formula(rng, 800, pool)
+        started = time.perf_counter()
+        rc.derives(lhs, rhs)
+        timings.append(time.perf_counter() - started)
+    assert statistics.median(timings) < 1.0, timings
 
 
 def test_model_check_basics():
