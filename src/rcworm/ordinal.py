@@ -100,12 +100,24 @@ def _cmp_term(s, t):
     if c == 0:
         return compare(s.argument, t.argument)
     if c < 0:
-        return compare(s.argument, Ordinal((t,)))
-    return -compare(t.argument, Ordinal((s,)))
+        return _cmp_with_term(s.argument, t)
+    return -_cmp_with_term(t.argument, s)
+
+
+def _cmp_with_term(a, t):
+    """compare(a, Ordinal((t,))) without building the one-term notation."""
+    if not a.terms:
+        return -1
+    c = _cmp_term(a.terms[0], t)
+    if c != 0 or len(a.terms) == 1:
+        return c
+    return 1
 
 
 def compare(a, b):
     """Trichotomous order on notations: -1, 0 or 1."""
+    if a is b:
+        return 0
     for s, t in zip(a.terms, b.terms):
         c = _cmp_term(s, t)
         if c != 0:

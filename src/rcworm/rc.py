@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cmp_to_key
+from itertools import cycle
 
 import numpy as np
 
@@ -148,17 +149,40 @@ def formula_key(f):
 
 
 def normalize(f):
-    """Set-semantics normal form: sorted, deduplicated conjunctions."""
+    """Set-semantics normal form: flattened, sorted, deduplicated conjunctions."""
+    return _normalize(f, {})[0]
+
+
+def _normalize(f, codes):
+    """(normalize(f), its formula_key), each key built from its children's.
+
+    codes maps each diamond index to its godel_code, so one call codes every
+    distinct index once.  Conjunctions are flattened before they are sorted
+    and deduplicated, which makes the result idempotent and duplicate-free
+    even on nested input.
+    """
     if isinstance(f, Diam):
-        return Diam(f.index, normalize(f.body))
+        body, key = _normalize(f.body, codes)
+        code = codes.get(f.index)
+        if code is None:
+            code = codes[f.index] = godel_code(f.index)
+        return Diam(f.index, body), (2, code, key)
     if isinstance(f, And):
-        parts = [normalize(c) for c in f.conjuncts]
         seen = {}
-        for p in parts:
-            seen.setdefault(formula_key(p), p)
-        ordered = [seen[k] for k in sorted(seen)]
-        return conj(ordered)
-    return f
+        for c in f.conjuncts:
+            g, key = _normalize(c, codes)
+            if isinstance(g, And):
+                for part, part_key in zip(g.conjuncts, key[1:]):
+                    seen.setdefault(part_key, part)
+            elif not isinstance(g, _Top):
+                seen.setdefault(key, g)
+        keys = sorted(seen)
+        if not keys:
+            return TOP, (0,)
+        if len(keys) == 1:
+            return seen[keys[0]], keys[0]
+        return And(seen[k] for k in keys), (3, *keys)
+    return f, formula_key(f)
 
 
 def is_variable_free(f):
@@ -218,23 +242,33 @@ def _s_below(s):
 class RcModel:
     """Finite frame: labelled nodes, edges carrying index-set strengths.
 
-    Edge values are ranks into `strengths`, the sorted table of every
-    distinct strength the closure produced.  Rank order agrees with set
-    inclusion, so "this edge admits index a" is one integer comparison
-    against the smallest rank whose set contains a.
+    The closed rank matrix is the only edge store: matrix[x, y] is the rank
+    in `strengths` of the edge x -> y, 0 when there is none.  `strengths` is
+    the sorted table of every distinct strength the closure produced.  Rank
+    order agrees with set inclusion, so "this edge admits index a" is one
+    integer comparison against the smallest rank whose set contains a.
     """
 
-    __slots__ = ("labels", "edges", "strengths", "root")
+    __slots__ = ("labels", "matrix", "strengths", "root")
 
-    def __init__(self, labels, edges, strengths):
+    def __init__(self, labels, matrix, strengths):
         self.labels = labels         # list of frozensets of variable names
-        self.edges = edges           # list: node -> {node: strength rank}
+        self.matrix = matrix         # n x n numpy array of strength ranks
         self.strengths = strengths   # rank -> (bound, inclusive); [0] unused
         self.root = 0
 
     @property
     def nodes(self):
         return range(len(self.labels))
+
+    @property
+    def edges(self):
+        """Rows of the matrix as dicts, node -> {node: strength rank}."""
+        out = []
+        for row in self.matrix:
+            ys = np.nonzero(row)[0]
+            out.append(dict(zip(ys.tolist(), row[ys].tolist())))
+        return out
 
     def admission_rank(self, alpha):
         """Smallest rank whose strength contains alpha; len(strengths) if none."""
@@ -248,14 +282,19 @@ class RcModel:
         return lo
 
     def related(self, x, alpha, y):
-        r = self.edges[x].get(y)
-        return r is not None and r >= self.admission_rank(alpha)
+        return bool(self.matrix[x, y] >= self.admission_rank(alpha))
 
 
 def build_minimal_model(f):
-    """Closure model of f: one node per diamond occurrence plus the root."""
+    """Closure model of f: one node per diamond occurrence plus the root.
+
+    A diamond equal to a sibling already seeded at the same node adds no
+    node, so duplicate conjuncts cost nothing; conjunct order does not change
+    the closure.
+    """
     labels = [set()]
     edges = [dict()]
+    seeded = [[]]  # node -> the diamonds seeded under it
 
     def seed(node, g):
         parts = g.conjuncts if isinstance(g, And) else (g,)
@@ -263,17 +302,21 @@ def build_minimal_model(f):
             if isinstance(p, Var):
                 labels[node].add(p.name)
             elif isinstance(p, Diam):
+                if p in seeded[node]:
+                    continue
+                seeded[node].append(p)
                 child = len(labels)
                 labels.append(set())
                 edges.append(dict())
+                seeded.append([])
                 edges[node][child] = (p.index, True)
                 seed(child, p.body)
             elif isinstance(p, And):
                 seed(node, p)  # nested And from un-normalized input
 
     seed(0, f)
-    edges, strengths = _close(edges)
-    return RcModel([frozenset(s) for s in labels], edges, strengths)
+    matrix, strengths = _close(edges)
+    return RcModel([frozenset(s) for s in labels], matrix, strengths)
 
 
 def _strength_table(edges):
@@ -312,9 +355,11 @@ def _close(edges):
       pairing        row(y) := max(row(y), min(below(m[x,y]), row(x)))
 
     (the y = y column of the pairing rewrite is the reflexive self-loop).
-    Updates only raise ranks, so sweeping until the matrix sum is stable
-    reaches the fixpoint; bottom-up then top-down passes per round keep the
-    number of rounds small on deep models.
+    Passes alternate bottom-up and top-down, which keeps their number small
+    on deep models, and stop after the first pass that leaves the matrix sum
+    unchanged.  Updates only raise ranks, so such a pass changed no entry:
+    every row's rules held in one unchanging state, which is the fixpoint.
+    Returns the closed matrix and the strength table.
     """
     table = _strength_table(edges)
     rank = {s: r for r, s in enumerate(table) if r > 0}
@@ -330,60 +375,60 @@ def _close(edges):
         for y, s in row.items():
             m[x, y] = rank[s]
 
-    total = -1
-    while True:
-        fresh = int(m.sum(dtype=np.int64))
-        if fresh == total:
-            break
-        total = fresh
-        for x in (*range(n - 1, -1, -1), *range(n)):
+    total = int(m.sum(dtype=np.int64))
+    for sweep in cycle((range(n - 1, -1, -1), range(n))):
+        for x in sweep:
             row = m[x]
             np.maximum(row, np.minimum(row[:, None], m).max(axis=0), out=row)
             np.maximum(m, np.minimum(below[row][:, None], row), out=m)
-
-    out = []
-    for row in m:
-        ys = np.nonzero(row)[0]
-        out.append(dict(zip(ys.tolist(), row[ys].tolist())))
-    return out, table
+        fresh = int(m.sum(dtype=np.int64))
+        if fresh == total:
+            return m, table
+        total = fresh
 
 
 def model_check(model, node, f):
+    """Whether f holds at `node` of the model.
+
+    Each distinct subformula object of f is evaluated once, as a boolean
+    vector over all nodes: TOP holds everywhere, a variable where it labels
+    the node, a conjunction where every conjunct holds, and <a>B at x when
+    some edge x -> y admits a (its rank reaches admission_rank(a)) and B
+    holds at y.
+    """
+    m = model.matrix
+    n = len(model.labels)
     memo = {}
+    labelled = {}
     admit = {}
 
-    def threshold(alpha):
-        t = admit.get(alpha)
-        if t is None:
-            t = model.admission_rank(alpha)
-            admit[alpha] = t
-        return t
-
-    def sat(x, g):
-        key = (x, id(g))
-        hit = memo.get(key)
+    def sat(g):
+        hit = memo.get(id(g))
         if hit is None:
             if isinstance(g, _Top):
-                hit = True
+                hit = np.ones(n, dtype=bool)
             elif isinstance(g, Var):
-                hit = g.name in model.labels[x]
+                hit = labelled.get(g.name)
+                if hit is None:
+                    hit = labelled[g.name] = np.fromiter(
+                        (g.name in ls for ls in model.labels), dtype=bool, count=n
+                    )
             elif isinstance(g, And):
-                hit = all(sat(x, c) for c in g.conjuncts)
+                hit = np.logical_and.reduce([sat(c) for c in g.conjuncts])
             else:
-                t = threshold(g.index)
-                hit = any(
-                    r >= t and sat(y, g.body)
-                    for y, r in model.edges[x].items()
-                )
-            memo[key] = hit
+                t = admit.get(g.index)
+                if t is None:
+                    t = admit[g.index] = model.admission_rank(g.index)
+                hit = (m[:, sat(g.body)] >= t).any(axis=1)
+            memo[id(g)] = hit
         return hit
 
-    return sat(node, f)
+    return bool(sat(f)[node])
 
 
 def derives(f, g):
     """True when f proves g."""
-    return model_check(build_minimal_model(normalize(f)), 0, normalize(g))
+    return model_check(build_minimal_model(f), 0, g)
 
 
 # ------------------------------------------------------------- derivations

@@ -67,6 +67,10 @@ def test_rc_commands(capsys):
     assert run(capsys, "rc", "wnf", "<1>T & <0>T")[1] in ("[1,0]", "[1]")
 
 
+def test_rc_derives_large_finite_index(capsys):
+    assert run(capsys, "rc", "derives", "<28>T & <1>T", "<1>T") == (0, "true")
+
+
 def test_spectrum_and_analysis(capsys):
     code, out = run(capsys, "spectrum", "pa-t", "--levels", "0,1,2,w,w+1")
     assert code == 0

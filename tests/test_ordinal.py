@@ -4,10 +4,12 @@ Expected values below were computed by hand from the normal-form rules
 before the implementation existed, then frozen.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import ordinals
+from conftest import ordinals, rand_ordinal
 from rcworm.errors import InvalidCodeError, UndefinedError
 from rcworm.ordinal import (
     EPS0,
@@ -15,6 +17,7 @@ from rcworm.ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    VeblenTerm,
     add,
     cnf_exponents,
     compare,
@@ -158,6 +161,46 @@ def test_compare_antisymmetry_and_equality(a, b):
     y = compare(b, a)
     assert x == -y
     assert (x == 0) == (a == b)
+
+
+def reference_cmp_term(s, t):
+    """_cmp_term as first written: the argument on the smaller-index side is
+    compared against the other term wrapped in a fresh one-term notation."""
+    c = reference_compare(s.index, t.index)
+    if c == 0:
+        return reference_compare(s.argument, t.argument)
+    if c < 0:
+        return reference_compare(s.argument, Ordinal((t,)))
+    return -reference_compare(t.argument, Ordinal((s,)))
+
+
+def reference_compare(a, b):
+    for s, t in zip(a.terms, b.terms):
+        c = reference_cmp_term(s, t)
+        if c != 0:
+            return c
+    if len(a.terms) == len(b.terms):
+        return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
+
+
+def rebuilt(a):
+    """An equal notation that shares no object with a."""
+    return Ordinal(VeblenTerm(rebuilt(t.index), rebuilt(t.argument)) for t in a.terms)
+
+
+def test_compare_matches_reference():
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(5000):
+        a, b = rand_ordinal(rng, 3), rand_ordinal(rng, 3)
+        # omega_power(a + b) against a reaches a one-term comparison whose
+        # head summands tie when a is a single epsilon-or-higher term
+        pairs += [(a, b), (a, a), (a, rebuilt(a)), (add(a, b), a),
+                  (omega_power(add(a, b)), a)]
+    for a, b in pairs:
+        want = reference_compare(a, b)
+        assert compare(a, b) == want and compare(b, a) == -want, (a, b)
 
 
 @settings(max_examples=60)
