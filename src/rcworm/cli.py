@@ -12,9 +12,16 @@ import json
 import sys
 
 from . import rc, spectra, truthcore, worm as worm_mod
-from .errors import DomainError, SearchExhaustedError
+from .errors import BudgetExceededError, DomainError, SearchExhaustedError
 from .ordinal import ZERO, ONE, OMEGA, cnf_exponents, compare, godel_code
 from .syntax import ParseError, parse_formula, parse_ordinal, parse_worm, render
+
+
+def _natural(text):
+    """argparse type of a count: a natural number in decimal."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected a natural number, got %r" % text)
+    return int(text)
 
 
 def _sym(c):
@@ -68,8 +75,18 @@ def _cmd_ord_cnf(args):
     return ", ".join(exps) if exps else "(empty sum)", exps
 
 
+# Longest Godel code `ord code` prints: 14000 bits is at most 4215 decimal
+# digits, inside Python's default limit of 4300 on int-to-str conversion.
+CODE_BIT_CAP = 14000
+
+
 def _cmd_ord_code(args):
     n = godel_code(parse_ordinal(args.a))
+    if n.bit_length() > CODE_BIT_CAP:
+        raise BudgetExceededError(
+            "the Godel code has %d bits, more than the %d this command prints"
+            % (n.bit_length(), CODE_BIT_CAP)
+        )
     return str(n), n
 
 
@@ -466,7 +483,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_rc_normalize, label="rc normalize")
     p = rc_sub.add_parser("q", parents=[shared])
     p.add_argument("beta")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_natural)
     p.add_argument("f")
     p.set_defaults(fn=_cmd_rc_q, label="rc q")
     p = rc_sub.add_parser("wnf", parents=[shared])

@@ -24,7 +24,15 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import InvalidCodeError, UndefinedError
+from .errors import InvalidCodeError, OrdinalOverflowError, UndefinedError
+
+MAX_SUMMANDS = 10**6
+"""Most equal summands a natural or an `a*n` repetition may spell out.
+
+A natural n is stored as n summands phi(0, 0), so larger naturals are
+refused with OrdinalOverflowError before anything is allocated.  The cap
+sits far above every literal the tests and fixtures use (the largest is
+1000)."""
 
 
 class VeblenTerm:
@@ -221,7 +229,17 @@ def cnf_exponents(a):
 def from_int(n):
     if n < 0:
         raise UndefinedError("no negative ordinals")
+    check_summands(n)
     return Ordinal((ONE.terms[0],) * n)
+
+
+def check_summands(n):
+    """OrdinalOverflowError when n summands are more than MAX_SUMMANDS."""
+    if n > MAX_SUMMANDS:
+        raise OrdinalOverflowError(
+            "more than %d summands (naturals are stored one summand per unit)"
+            % MAX_SUMMANDS
+        )
 
 
 def to_int(a):

@@ -15,6 +15,10 @@ successor bounds.  The right formula is then model-checked at the root.
 proof_search produces independently checkable certificates built from the
 six primitive rules; a returned derivation is always locally valid, while
 None only means the depth bound ran out.
+
+numpy is imported only inside the three functions that build or read the
+closure matrix (_close, model_check, RcModel.edges), so a process that
+decides no consequence never loads it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from __future__ import annotations
 from collections import deque
 from functools import cmp_to_key
 from itertools import cycle
-
-import numpy as np
 
 from .errors import NotVariableFreeError, SearchExhaustedError
 from .ordinal import (
@@ -264,6 +266,8 @@ class RcModel:
     @property
     def edges(self):
         """Rows of the matrix as dicts, node -> {node: strength rank}."""
+        import numpy as np
+
         out = []
         for row in self.matrix:
             ys = np.nonzero(row)[0]
@@ -361,6 +365,8 @@ def _close(edges):
     every row's rules held in one unchanging state, which is the fixpoint.
     Returns the closed matrix and the strength table.
     """
+    import numpy as np
+
     table = _strength_table(edges)
     rank = {s: r for r, s in enumerate(table) if r > 0}
     dtype = np.min_scalar_type(len(table))
@@ -396,6 +402,8 @@ def model_check(model, node, f):
     some edge x -> y admits a (its rank reaches admission_rank(a)) and B
     holds at y.
     """
+    import numpy as np
+
     m = model.matrix
     n = len(model.labels)
     memo = {}

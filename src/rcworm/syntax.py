@@ -18,7 +18,17 @@ from __future__ import annotations
 
 import re
 
-from .ordinal import ONE, ZERO, Ordinal, add, from_int, omega_power, phi, to_int
+from .ordinal import (
+    ONE,
+    ZERO,
+    Ordinal,
+    add,
+    check_summands,
+    from_int,
+    omega_power,
+    phi,
+    to_int,
+)
 from .rc import TOP, And, Diam, RcFormula, Var, conj, worm_formula
 from .worm import Worm
 
@@ -118,10 +128,9 @@ class _Parser:
             if count is None or not count.isdigit():
                 raise ParseError("expected a count after '*'", self.pos())
             self.next()
-            out = ZERO
-            for _ in range(int(count)):
-                out = add(out, base)
-            return out
+            n = int(count)
+            check_summands(n)
+            return Ordinal(base.terms * n)  # base is one term: already normal
         return base
 
     def ord_base(self):

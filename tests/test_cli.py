@@ -1,11 +1,16 @@
 """Command-line front end: outputs, exit codes, machine format, fixtures."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from rcworm.cli import main, run_fixture_file
+import rcworm
+from rcworm.cli import CODE_BIT_CAP, main, run_fixture_file
 
 
 def run(capsys, *argv):
@@ -67,6 +72,14 @@ def test_rc_commands(capsys):
     assert run(capsys, "rc", "wnf", "<1>T & <0>T")[1] in ("[1,0]", "[1]")
 
 
+def test_rc_q_rejects_negative_k(capsys):
+    for k in ("-3", "x"):
+        with pytest.raises(SystemExit) as e:
+            main(["rc", "q", "1", k, "p"])
+        assert e.value.code == 2
+        assert "expected a natural number" in capsys.readouterr().err
+
+
 def test_rc_derives_large_finite_index(capsys):
     assert run(capsys, "rc", "derives", "<28>T & <1>T", "<1>T") == (0, "true")
 
@@ -110,6 +123,75 @@ def test_truth_commands(tmp_path, capsys):
     assert code == 0 and "0 = 0" in out
     assert run(capsys, "truth", "classify", "all x . P(x)") == (0, "pi 1")
     assert run(capsys, "truth", "classify", "0 = 0") == (0, "delta0")
+
+
+def test_ord_code_too_long_to_print(capsys):
+    tower = "w^w^w^w^w^w^w^w^w"  # a 94,179-bit code
+    code, out = run(capsys, "ord", "code", tower)
+    assert code == 1 and out.startswith("error:") and str(CODE_BIT_CAP) in out
+    code, payload = run_json(capsys, "ord", "code", tower)
+    assert code == 1
+    assert payload["command"] == "ord code" and payload["ok"] is False
+    assert str(CODE_BIT_CAP) in payload["error"]
+    code, out = run(capsys, "ord", "code", "w^w^w^w^w^w^w")  # 5,888 bits
+    assert code == 0 and len(out) == 1773
+
+
+def test_huge_natural_literals_refused(capsys):
+    for a in ("999999999999", "99999999999999999999", "w*99999999999"):
+        start = time.perf_counter()
+        code, out = run(capsys, "ord", "compare", a, "1")
+        assert time.perf_counter() - start < 1.0, a
+        assert code == 1 and out.startswith("error:"), (a, out)
+
+
+# Commands of every family that builds no closure model, each with exit 0.
+_NO_MODEL_ARGVS = [
+    ["ord", "compare", "w", "w+1"],
+    ["ord", "add", "w", "3"],
+    ["ord", "phi", "1", "0"],
+    ["ord", "cnf", "w^2+3"],
+    ["ord", "code", "w"],
+    ["worm", "o", "[w]"],
+    ["worm", "o-at", "1", "[2,2]"],
+    ["worm", "cmp-at", "1", "[2,2]", "[2]"],
+    ["worm", "lift", "w", "[1,0]"],
+    ["worm", "lower", "w", "[w+1,w]"],
+    ["rc", "normalize", "q & p & q"],
+    ["rc", "q", "1", "2", "p"],
+    ["spectrum", "pa-t", "--levels", "0,1,w"],
+    ["ord-analysis", "pi01-ca0:1"],
+    ["fgh", "0", "2"],
+    ["truth", "eval", "all x <= 2 . x <= 2"],
+    ["truth", "build-ef", "ex x <= 2 . x = S(0)"],
+    ["truth", "classify", "all x . P(x)"],
+]
+
+_IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+assert "numpy" not in sys.modules, "numpy is loaded before rcworm"
+import rcworm, rcworm.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rcworm.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = rcworm.cli.main(["rc", "derives", "[1,0]", "[1]"])
+print(json.dumps([code, out.getvalue().strip(), "numpy" in sys.modules]))
+"""
+
+
+def test_numpy_loads_only_when_a_model_is_built():
+    src = str(Path(rcworm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY, json.dumps(_NO_MODEL_ARGVS)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, "true", True]
 
 
 # -------------------------------------------------------------- exit codes

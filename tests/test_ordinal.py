@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ordinals, rand_ordinal
-from rcworm.errors import InvalidCodeError, UndefinedError
+from rcworm.errors import InvalidCodeError, OrdinalOverflowError, UndefinedError
 from rcworm.ordinal import (
     EPS0,
+    MAX_SUMMANDS,
     OMEGA,
     ONE,
     ZERO,
@@ -40,6 +41,14 @@ from rcworm.ordinal import (
 def test_integer_round_trip():
     for n in range(50):
         assert to_int(from_int(n)) == n
+
+
+def test_from_int_refuses_above_summand_cap():
+    assert len(from_int(MAX_SUMMANDS).terms) == MAX_SUMMANDS
+    with pytest.raises(OrdinalOverflowError):
+        from_int(MAX_SUMMANDS + 1)
+    with pytest.raises(OrdinalOverflowError):
+        from_int(10**20)
 
 
 def test_compare_basics():

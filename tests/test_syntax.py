@@ -5,7 +5,18 @@ from hypothesis import given
 
 from conftest import ordinals, rc_formulas, worms
 from rcworm import rc
-from rcworm.ordinal import EPS0, OMEGA, ONE, ZERO, add, from_int, omega_power, phi
+from rcworm.errors import OrdinalOverflowError
+from rcworm.ordinal import (
+    EPS0,
+    MAX_SUMMANDS,
+    OMEGA,
+    ONE,
+    ZERO,
+    add,
+    from_int,
+    omega_power,
+    phi,
+)
 from rcworm.syntax import ParseError, parse_formula, parse_ordinal, parse_worm, render
 from rcworm.worm import Worm
 
@@ -24,6 +35,19 @@ def test_parse_ordinal_forms():
     assert parse_ordinal("eps(eps0)") == phi(ONE, EPS0)
     assert parse_ordinal("phi(2, 0)") == phi(from_int(2), ZERO)
     assert parse_ordinal("w^(w + 1)") == omega_power(add(OMEGA, ONE))
+
+
+def test_repetition_is_repeated_sum():
+    for base in ("w", "w^w", "w^(w+1)", "eps0", "eps(3)", "phi(2,w)", "phi(0,eps0)"):
+        b = parse_ordinal(base)
+        total = ZERO
+        for n in range(6):
+            assert parse_ordinal("%s*%d" % (base, n)) == total
+            total = add(total, b)
+    assert len(parse_ordinal("w*%d" % MAX_SUMMANDS).terms) == MAX_SUMMANDS
+    for text in ("w*%d" % (MAX_SUMMANDS + 1), "%d" % (MAX_SUMMANDS + 1), "w^99999999999"):
+        with pytest.raises(OrdinalOverflowError):
+            parse_ordinal(text)
 
 
 def test_parse_ordinal_unicode_aliases():
