@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import rc, spectra, truthcore, worm as worm_mod
-from .errors import BudgetExceededError, DomainError, SearchExhaustedError
+from .errors import DomainError, SearchExhaustedError
 from .ordinal import ZERO, ONE, OMEGA, cnf_exponents, compare, godel_code
 from .syntax import ParseError, parse_formula, parse_ordinal, parse_worm, render
 
@@ -81,12 +81,7 @@ CODE_BIT_CAP = 14000
 
 
 def _cmd_ord_code(args):
-    n = godel_code(parse_ordinal(args.a))
-    if n.bit_length() > CODE_BIT_CAP:
-        raise BudgetExceededError(
-            "the Godel code has %d bits, more than the %d this command prints"
-            % (n.bit_length(), CODE_BIT_CAP)
-        )
+    n = godel_code(parse_ordinal(args.a), max_bits=CODE_BIT_CAP)
     return str(n), n
 
 

@@ -24,7 +24,12 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import InvalidCodeError, OrdinalOverflowError, UndefinedError
+from .errors import (
+    BudgetExceededError,
+    InvalidCodeError,
+    OrdinalOverflowError,
+    UndefinedError,
+)
 
 MAX_SUMMANDS = 10**6
 """Most equal summands a natural or an `a*n` repetition may spell out.
@@ -275,10 +280,17 @@ def _unpair(z):
     return s - y, y
 
 
-def godel_code(a):
+def godel_code(a, max_bits=None):
+    """The Cantor-pairing code of a.  With max_bits, BudgetExceededError as
+    soon as a partial code is longer: pairing never makes a code smaller than
+    its parts, so the whole code would be longer too."""
     code = 0
     for t in reversed(a.terms):
-        code = _pair(_pair(godel_code(t.index), godel_code(t.argument)), code) + 1
+        code = _pair(
+            _pair(godel_code(t.index, max_bits), godel_code(t.argument, max_bits)), code
+        ) + 1
+        if max_bits is not None and code.bit_length() > max_bits:
+            raise BudgetExceededError("the Godel code has more than %d bits" % max_bits)
     return code
 
 

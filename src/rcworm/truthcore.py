@@ -16,24 +16,88 @@ reports the first offender, so any disagreement between the three routes is
 attributable to a specific clause.
 """
 
-from .errors import NotInFragmentError
+from .errors import BudgetExceededError, NotInFragmentError
 from .syntax import ParseError
 
+from functools import reduce
 import json
 import re
+import weakref
+
+
+# ---------------------------------------------------------------- interning
+#
+# Terms and formulas are hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", ML Workshop 2006): building a node whose class and fields
+# equal a live node's returns that node.  Equal structure is therefore the
+# same object, so equality and hashing are object identity: constant time and
+# free of recursion however deep a numeral is.  The table holds its nodes
+# weakly, so a node leaves it once nothing else refers to it.  Nodes must
+# never be mutated, and the table takes no lock: build nodes from one thread
+# at a time.
+
+_TABLE = weakref.WeakValueDictionary()
+_NO_VARS = frozenset()
+
+
+class _Node:
+    """A hash-consed node.  `fv` is the frozenset of the variables free in
+    it, computed once when the node is built."""
+
+    __slots__ = ("fv", "__weakref__")
+
+    def __new__(cls, *fields):
+        key = (cls,) + fields
+        node = _TABLE.get(key)
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                setattr(node, name, value)
+            node.fv = node._free()
+            _TABLE[key] = node
+        return node
+
+
+def _union(a, b):
+    # shares an operand where one is empty, so closed nodes hold no new sets
+    return a | b if a and b else a or b
+
+
+def _bind(fv, var):
+    return fv - {var} if var in fv else fv
+
+
+def _free_arg(node):
+    return node.arg.fv
+
+
+def _free_pair(node):
+    return _union(node.left.fv, node.right.fv)
+
+
+def _free_terms(node):
+    return reduce(_union, (t.fv for t in node.terms), _NO_VARS)
+
+
+def _free_bounded(node):
+    return _union(node.bound.fv, _bind(node.body.fv, node.var))
+
+
+def _free_unbounded(node):
+    return _bind(node.body.fv, node.var)
+
+
+def _new_literal(cls, pred, terms):
+    return _Node.__new__(cls, pred, tuple(terms))
 
 
 # -------------------------------------------------------------------- terms
 
 
-class ArithTerm:
+class ArithTerm(_Node):
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__,) + self._key())
 
     def __repr__(self):
         return render_term(self)
@@ -42,88 +106,74 @@ class ArithTerm:
 class Zero(ArithTerm):
     __slots__ = ()
 
-    def _key(self):
-        return ()
+    def _free(self):
+        return _NO_VARS
 
 
 class Succ(ArithTerm):
     __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-    def _key(self):
-        return (self.arg,)
+    _free = _free_arg
 
 
 class Plus(ArithTerm):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def _key(self):
-        return (self.left, self.right)
+    _free = _free_pair
 
 
 class Times(ArithTerm):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def _key(self):
-        return (self.left, self.right)
+    _free = _free_pair
 
 
 class Exp(ArithTerm):
     """Unary exponential, read base 2."""
 
     __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-    def _key(self):
-        return (self.arg,)
+    _free = _free_arg
 
 
 class Var(ArithTerm):
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        self.name = name
-
-    def _key(self):
-        return (self.name,)
+    def _free(self):
+        return frozenset((self.name,))
 
 
 ZERO_T = Zero()
+
+# Largest numeral literal, exp argument and number of quantifier instances in
+# one build_evaluation; anything larger is refused with BudgetExceededError
+# before the work starts, instead of hanging or exhausting memory.
+TRUTH_CAP = 200_000
 
 
 def numeral(n):
     """n rendered as n applications of the successor to zero."""
     if n < 0:
         raise ValueError("numerals are naturals")
+    if n > TRUTH_CAP:
+        raise BudgetExceededError(
+            "numeral %d is above the truth budget of %d" % (n, TRUTH_CAP)
+        )
     t = ZERO_T
     for _ in range(n):
         t = Succ(t)
     return t
 
 
+def _pow2(v):
+    if v > TRUTH_CAP:
+        raise BudgetExceededError(
+            "exp of %d: the truth budget allows exp of at most %d" % (v, TRUTH_CAP)
+        )
+    return 2**v
+
+
 # ----------------------------------------------------------------- formulas
 
 
-class TaitFormula:
+class TaitFormula(_Node):
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__,) + self._key())
 
     def __repr__(self):
         return render_formula(self)
@@ -133,92 +183,44 @@ class Atom(TaitFormula):
     """pred applied to terms; "=" and "<=" are the built-in predicates."""
 
     __slots__ = ("pred", "terms")
-
-    def __init__(self, pred, terms):
-        self.pred = pred
-        self.terms = tuple(terms)
-
-    def _key(self):
-        return (self.pred, self.terms)
+    __new__ = _new_literal
+    _free = _free_terms
 
 
 class NegAtom(TaitFormula):
     __slots__ = ("pred", "terms")
-
-    def __init__(self, pred, terms):
-        self.pred = pred
-        self.terms = tuple(terms)
-
-    def _key(self):
-        return (self.pred, self.terms)
+    __new__ = _new_literal
+    _free = _free_terms
 
 
 class AndF(TaitFormula):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def _key(self):
-        return (self.left, self.right)
+    _free = _free_pair
 
 
 class OrF(TaitFormula):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def _key(self):
-        return (self.left, self.right)
+    _free = _free_pair
 
 
 class BoundedAll(TaitFormula):
     __slots__ = ("var", "bound", "body")
-
-    def __init__(self, var, bound, body):
-        self.var = var
-        self.bound = bound
-        self.body = body
-
-    def _key(self):
-        return (self.var, self.bound, self.body)
+    _free = _free_bounded
 
 
 class BoundedEx(TaitFormula):
     __slots__ = ("var", "bound", "body")
-
-    def __init__(self, var, bound, body):
-        self.var = var
-        self.bound = bound
-        self.body = body
-
-    def _key(self):
-        return (self.var, self.bound, self.body)
+    _free = _free_bounded
 
 
 class All(TaitFormula):
     __slots__ = ("var", "body")
-
-    def __init__(self, var, body):
-        self.var = var
-        self.body = body
-
-    def _key(self):
-        return (self.var, self.body)
+    _free = _free_unbounded
 
 
 class Ex(TaitFormula):
     __slots__ = ("var", "body")
-
-    def __init__(self, var, body):
-        self.var = var
-        self.body = body
-
-    def _key(self):
-        return (self.var, self.body)
+    _free = _free_unbounded
 
 
 def atom_eq(a, b):
@@ -232,38 +234,15 @@ def atom_le(a, b):
 # -------------------------------------------------------- structural helpers
 
 
-def term_vars(t, acc=None):
+def free_vars(node, acc=None):
+    """The variables free in a term or formula: a new set, or acc updated."""
     if acc is None:
-        acc = set()
-    if isinstance(t, Var):
-        acc.add(t.name)
-    elif isinstance(t, (Succ, Exp)):
-        term_vars(t.arg, acc)
-    elif isinstance(t, (Plus, Times)):
-        term_vars(t.left, acc)
-        term_vars(t.right, acc)
+        return set(node.fv)
+    acc |= node.fv
     return acc
 
 
-def free_vars(f, acc=None):
-    if acc is None:
-        acc = set()
-    if isinstance(f, (Atom, NegAtom)):
-        for t in f.terms:
-            term_vars(t, acc)
-    elif isinstance(f, (AndF, OrF)):
-        free_vars(f.left, acc)
-        free_vars(f.right, acc)
-    elif isinstance(f, (BoundedAll, BoundedEx)):
-        term_vars(f.bound, acc)
-        inner = free_vars(f.body, set())
-        inner.discard(f.var)
-        acc |= inner
-    elif isinstance(f, (All, Ex)):
-        inner = free_vars(f.body, set())
-        inner.discard(f.var)
-        acc |= inner
-    return acc
+term_vars = free_vars
 
 
 def is_delta0(f):
@@ -277,45 +256,46 @@ def is_delta0(f):
 
 
 def subst_term(t, name, repl):
+    if name not in t.fv:
+        return t
     if isinstance(t, Var):
-        return repl if t.name == name else t
-    if isinstance(t, Succ):
-        return Succ(subst_term(t.arg, name, repl))
-    if isinstance(t, Exp):
-        return Exp(subst_term(t.arg, name, repl))
-    if isinstance(t, Plus):
-        return Plus(subst_term(t.left, name, repl), subst_term(t.right, name, repl))
-    if isinstance(t, Times):
-        return Times(subst_term(t.left, name, repl), subst_term(t.right, name, repl))
-    return t
+        return repl
+    if isinstance(t, (Succ, Exp)):
+        return type(t)(subst_term(t.arg, name, repl))
+    return type(t)(subst_term(t.left, name, repl), subst_term(t.right, name, repl))
 
 
 def subst(f, name, repl):
     """Replace the free variable `name` by the closed term `repl`."""
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(subst_term(t, name, repl) for t in f.terms))
-    if isinstance(f, NegAtom):
-        return NegAtom(f.pred, tuple(subst_term(t, name, repl) for t in f.terms))
-    if isinstance(f, AndF):
-        return AndF(subst(f.left, name, repl), subst(f.right, name, repl))
-    if isinstance(f, OrF):
-        return OrF(subst(f.left, name, repl), subst(f.right, name, repl))
+    if not isinstance(f, TaitFormula):
+        raise TypeError("not a formula: %r" % (f,))
+    if name not in f.fv:
+        return f
+    if isinstance(f, (Atom, NegAtom)):
+        return type(f)(f.pred, tuple(subst_term(t, name, repl) for t in f.terms))
+    if isinstance(f, (AndF, OrF)):
+        return type(f)(subst(f.left, name, repl), subst(f.right, name, repl))
     if isinstance(f, (BoundedAll, BoundedEx)):
-        bound = subst_term(f.bound, name, repl)
+        # `name` may be free in the bound only, with the body shadowing it
         body = f.body if f.var == name else subst(f.body, name, repl)
-        return type(f)(f.var, bound, body)
-    if isinstance(f, (All, Ex)):
-        body = f.body if f.var == name else subst(f.body, name, repl)
-        return type(f)(f.var, body)
-    raise TypeError("not a formula: %r" % (f,))
+        return type(f)(f.var, subst_term(f.bound, name, repl), body)
+    return type(f)(f.var, subst(f.body, name, repl))
+
+
+def _instances(f, top):
+    """The body of bounded quantifier f at x = 0, 1, ..., top, stepping the
+    numeral one successor at a time."""
+    n = ZERO_T
+    for _ in range(top + 1):
+        yield subst(f.body, f.var, n)
+        n = Succ(n)
 
 
 def _require_delta0_sentence(f):
     if not is_delta0(f):
         raise NotInFragmentError("unbounded quantifier in a bounded-only context")
-    fv = free_vars(f)
-    if fv:
-        raise NotInFragmentError("free variables: %s" % ", ".join(sorted(fv)))
+    if f.fv:
+        raise NotInFragmentError("free variables: %s" % ", ".join(sorted(f.fv)))
 
 
 # ----------------------------------------------------------------- semantics
@@ -361,13 +341,18 @@ def eval_term(t):
     if isinstance(t, Zero):
         return 0
     if isinstance(t, Succ):
-        return eval_term(t.arg) + 1
+        # iterate down a run of successors: numerals can be deep
+        n = 0
+        while isinstance(t, Succ):
+            n += 1
+            t = t.arg
+        return eval_term(t) + n
     if isinstance(t, Plus):
         return eval_term(t.left) + eval_term(t.right)
     if isinstance(t, Times):
         return eval_term(t.left) * eval_term(t.right)
     if isinstance(t, Exp):
-        return 2 ** eval_term(t.arg)
+        return _pow2(eval_term(t.arg))
     if isinstance(t, Var):
         raise NotInFragmentError("open term: %s" % t.name)
     raise TypeError("not a term: %r" % (t,))
@@ -397,17 +382,9 @@ def _direct(f, structure):
     if isinstance(f, OrF):
         return _direct(f.left, structure) or _direct(f.right, structure)
     if isinstance(f, BoundedAll):
-        top = eval_term(f.bound)
-        return all(
-            _direct(subst(f.body, f.var, numeral(m)), structure)
-            for m in range(top + 1)
-        )
+        return all(_direct(g, structure) for g in _instances(f, eval_term(f.bound)))
     if isinstance(f, BoundedEx):
-        top = eval_term(f.bound)
-        return any(
-            _direct(subst(f.body, f.var, numeral(m)), structure)
-            for m in range(top + 1)
-        )
+        return any(_direct(g, structure) for g in _instances(f, eval_term(f.bound)))
     raise NotInFragmentError("unbounded quantifier in a bounded-only context")
 
 
@@ -473,10 +450,10 @@ def is_evaluation(s, structure):
     tm, sm = s.term_map, s.sent_map
 
     for t in tm:
-        if not isinstance(t, ArithTerm) or term_vars(t):
+        if not isinstance(t, ArithTerm) or t.fv:
             return FailedClause(1, t)
     for f in sm:
-        if not isinstance(f, TaitFormula) or not is_delta0(f) or free_vars(f):
+        if not isinstance(f, TaitFormula) or f.fv or not is_delta0(f):
             return FailedClause(1, f)
     for f, v in sm.items():
         if v not in (0, 1):
@@ -537,8 +514,7 @@ def is_evaluation(s, structure):
             if f.bound not in tm:
                 return FailedClause(clause, f)
             insts = []
-            for m in range(tm[f.bound] + 1):
-                inst = subst(f.body, f.var, numeral(m))
+            for inst in _instances(f, tm[f.bound]):
                 if inst not in sm:
                     return FailedClause(clause, f)
                 insts.append(sm[inst] == 1)
@@ -552,31 +528,38 @@ def build_evaluation(f, structure):
     """The least assignment whose domain covers the given sentence."""
     _require_delta0_sentence(f)
     out = PartialEvaluation()
-    _build_sent(f, structure, out)
+    _build_sent(f, structure, out, [TRUTH_CAP])
     return out
 
 
 def _build_term(t, out):
-    hit = out.term_map.get(t)
-    if hit is not None:
-        return hit
-    if isinstance(t, Zero):
-        v = 0
-    elif isinstance(t, Succ):
-        v = _build_term(t.arg, out) + 1
-    elif isinstance(t, Plus):
-        v = _build_term(t.left, out) + _build_term(t.right, out)
-    elif isinstance(t, Times):
-        v = _build_term(t.left, out) * _build_term(t.right, out)
-    elif isinstance(t, Exp):
-        v = 2 ** _build_term(t.arg, out)
-    else:
-        raise NotInFragmentError("open term in a sentence: %r" % (t,))
-    out.term_map[t] = v
+    tm = out.term_map
+    # walk a run of successors iteratively, down to a known or other node
+    run = []
+    while isinstance(t, Succ) and t not in tm:
+        run.append(t)
+        t = t.arg
+    v = tm.get(t)
+    if v is None:
+        if isinstance(t, Zero):
+            v = 0
+        elif isinstance(t, Plus):
+            v = _build_term(t.left, out) + _build_term(t.right, out)
+        elif isinstance(t, Times):
+            v = _build_term(t.left, out) * _build_term(t.right, out)
+        elif isinstance(t, Exp):
+            v = _pow2(_build_term(t.arg, out))
+        else:
+            raise NotInFragmentError("open term in a sentence: %r" % (t,))
+        tm[t] = v
+    for s in reversed(run):
+        v += 1
+        tm[s] = v
     return v
 
 
-def _build_sent(f, structure, out):
+def _build_sent(f, structure, out, left):
+    """`left` holds the number of quantifier instances still allowed."""
     hit = out.sent_map.get(f)
     if hit is not None:
         return hit
@@ -586,16 +569,18 @@ def _build_sent(f, structure, out):
         if isinstance(f, NegAtom):
             truth = not truth
         v = 1 if truth else 0
-    elif isinstance(f, AndF):
-        v = _build_sent(f.left, structure, out) & _build_sent(f.right, structure, out)
-    elif isinstance(f, OrF):
-        v = _build_sent(f.left, structure, out) | _build_sent(f.right, structure, out)
+    elif isinstance(f, (AndF, OrF)):
+        a = _build_sent(f.left, structure, out, left)
+        b = _build_sent(f.right, structure, out, left)
+        v = a & b if isinstance(f, AndF) else a | b
     elif isinstance(f, (BoundedAll, BoundedEx)):
         top = _build_term(f.bound, out)
-        bits = [
-            _build_sent(subst(f.body, f.var, numeral(m)), structure, out)
-            for m in range(top + 1)
-        ]
+        if top + 1 > left[0]:
+            raise BudgetExceededError(
+                "more than %d quantifier instances to evaluate" % TRUTH_CAP
+            )
+        left[0] -= top + 1
+        bits = [_build_sent(g, structure, out, left) for g in _instances(f, top)]
         if isinstance(f, BoundedAll):
             v = 1 if all(b == 1 for b in bits) else 0
         else:

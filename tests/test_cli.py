@@ -11,6 +11,7 @@ import pytest
 
 import rcworm
 from rcworm.cli import CODE_BIT_CAP, main, run_fixture_file
+from rcworm.truthcore import TRUTH_CAP
 
 
 def run(capsys, *argv):
@@ -137,12 +138,43 @@ def test_ord_code_too_long_to_print(capsys):
     assert code == 0 and len(out) == 1773
 
 
+def test_ord_code_refused_before_the_whole_code_exists(capsys):
+    # the whole code of 27 has about 10^8 bits; its partial codes pass the
+    # cap after 14 summands
+    for a in ("27", "1000000", "w^w^w^w^w^w^w^w^w^w^w^w^w^w"):
+        start = time.perf_counter()
+        code, out = run(capsys, "ord", "code", a)
+        assert time.perf_counter() - start < 1.0, a
+        assert code == 1 and out.startswith("error:") and str(CODE_BIT_CAP) in out
+
+
 def test_huge_natural_literals_refused(capsys):
     for a in ("999999999999", "99999999999999999999", "w*99999999999"):
         start = time.perf_counter()
         code, out = run(capsys, "ord", "compare", a, "1")
         assert time.perf_counter() - start < 1.0, a
         assert code == 1 and out.startswith("error:"), (a, out)
+
+
+def test_truth_budget_refuses_at_once(capsys):
+    for text in (
+        "exp(exp(exp(exp(5)))) = 0",
+        "all x <= 100000 . all y <= 100000 . x = y",
+        "%d = 0" % (TRUTH_CAP + 1),
+    ):
+        for command in ("eval", "build-ef"):
+            start = time.perf_counter()
+            code, out = run(capsys, "truth", command, text)
+            assert time.perf_counter() - start < 1.0, (command, text)
+            assert code == 1 and out.startswith("error:"), (command, text, out)
+
+
+def test_truth_deep_numerals_answer(capsys):
+    for bound in (500, 5000):
+        start = time.perf_counter()
+        code, out = run(capsys, "truth", "eval", "all x <= %d . x <= %d" % (bound, bound))
+        assert time.perf_counter() - start < 1.0, bound
+        assert (code, out) == (0, "true")
 
 
 # Commands of every family that builds no closure model, each with exit 0.

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ordinals, rand_ordinal
-from rcworm.errors import InvalidCodeError, OrdinalOverflowError, UndefinedError
+from rcworm.errors import (
+    BudgetExceededError,
+    InvalidCodeError,
+    OrdinalOverflowError,
+    UndefinedError,
+)
 from rcworm.ordinal import (
     EPS0,
     MAX_SUMMANDS,
@@ -157,6 +162,16 @@ def test_godel_decode_rejects_least_invalid_code():
 @given(ordinals())
 def test_codes_round_trip(a):
     assert godel_decode(godel_code(a)) == a
+
+
+@given(ordinals())
+def test_code_cap_is_exact(a):
+    # a cap the code meets returns it unchanged; one bit less refuses it
+    n = godel_code(a)
+    assert godel_code(a, max_bits=n.bit_length()) == n
+    if n:
+        with pytest.raises(BudgetExceededError):
+            godel_code(a, max_bits=n.bit_length() - 1)
 
 
 @given(ordinals())

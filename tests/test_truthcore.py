@@ -1,6 +1,7 @@
 """Bounded arithmetic truth: terms, evaluations, the thirteen local
 correctness clauses, and the prenex classifier."""
 
+import gc
 import random
 
 import pytest
@@ -364,3 +365,179 @@ def test_render_round_trip_randomized():
 def test_render_compresses_numerals():
     assert tc.render_term(tc.numeral(4)) == "4"
     assert tc.render_term(tc.Succ(tc.Plus(tc.ZERO_T, tc.ZERO_T))) == "S(0+0)"
+
+
+# --------------------------------------------------------------- interning
+
+
+def test_parsing_twice_gives_the_same_object():
+    text = "all x <= 3 . P(x) & exp(2) = S(3) * x | ex y <= x . y <= 9"
+    assert pf(text) is pf(text)
+    assert pt("2 + x * exp(1)") is pt("2 + x * exp(1)")
+    assert tc.numeral(7) is pt("7") is tc.Succ(tc.numeral(6))
+
+
+def test_atom_terms_are_interned_as_a_tuple():
+    two = tc.numeral(2)
+    assert tc.Atom("P", [two]) is tc.Atom("P", (two,))
+    assert tc.Atom("P", [two]).terms == (two,)
+
+
+def test_atom_and_negated_atom_are_distinct():
+    a = tc.Atom("P", (tc.ZERO_T,))
+    n = tc.NegAtom("P", (tc.ZERO_T,))
+    assert a is not n and a != n and len({a, n}) == 2
+    assert tc.de_morgan_negate(a) is n and tc.de_morgan_negate(n) is a
+
+
+def test_intern_table_does_not_grow_across_ops():
+    def op():
+        f = pf("all x <= 40 . ex y <= x . P(y) | y = exp(3) + x")
+        s = tc.build_evaluation(f, EMPTY)
+        assert tc.is_evaluation(s, EMPTY) is True
+        return len(tc._TABLE)
+
+    gc.collect()  # nodes held only by earlier tests' garbage cycles
+    before = len(tc._TABLE)
+    assert op() > before + 40
+    assert len(tc._TABLE) == before
+    op()
+    assert len(tc._TABLE) == before
+
+
+def test_deep_numerals_evaluate():
+    big = tc.numeral(5000)
+    assert tc.eval_term(big) == 5000
+    f = tc.BoundedAll("x", big, tc.atom_le(tc.Var("x"), big))
+    s = tc.build_evaluation(f, EMPTY)
+    assert s.sent_map[f] == 1 and s.term_map[big] == 5000
+    assert tc.is_evaluation(s, EMPTY) is True
+
+
+# The recursive walks that per-node free-variable sets replaced, kept as the
+# reference for term_vars, free_vars, subst_term and subst.
+
+
+def ref_term_vars(t, acc=None):
+    if acc is None:
+        acc = set()
+    if isinstance(t, tc.Var):
+        acc.add(t.name)
+    elif isinstance(t, (tc.Succ, tc.Exp)):
+        ref_term_vars(t.arg, acc)
+    elif isinstance(t, (tc.Plus, tc.Times)):
+        ref_term_vars(t.left, acc)
+        ref_term_vars(t.right, acc)
+    return acc
+
+
+def ref_free_vars(f, acc=None):
+    if acc is None:
+        acc = set()
+    if isinstance(f, (tc.Atom, tc.NegAtom)):
+        for t in f.terms:
+            ref_term_vars(t, acc)
+    elif isinstance(f, (tc.AndF, tc.OrF)):
+        ref_free_vars(f.left, acc)
+        ref_free_vars(f.right, acc)
+    elif isinstance(f, (tc.BoundedAll, tc.BoundedEx)):
+        ref_term_vars(f.bound, acc)
+        inner = ref_free_vars(f.body, set())
+        inner.discard(f.var)
+        acc |= inner
+    elif isinstance(f, (tc.All, tc.Ex)):
+        inner = ref_free_vars(f.body, set())
+        inner.discard(f.var)
+        acc |= inner
+    return acc
+
+
+def ref_subst_term(t, name, repl):
+    if isinstance(t, tc.Var):
+        return repl if t.name == name else t
+    if isinstance(t, tc.Succ):
+        return tc.Succ(ref_subst_term(t.arg, name, repl))
+    if isinstance(t, tc.Exp):
+        return tc.Exp(ref_subst_term(t.arg, name, repl))
+    if isinstance(t, tc.Plus):
+        return tc.Plus(ref_subst_term(t.left, name, repl), ref_subst_term(t.right, name, repl))
+    if isinstance(t, tc.Times):
+        return tc.Times(ref_subst_term(t.left, name, repl), ref_subst_term(t.right, name, repl))
+    return t
+
+
+def ref_subst(f, name, repl):
+    if isinstance(f, (tc.Atom, tc.NegAtom)):
+        return type(f)(f.pred, tuple(ref_subst_term(t, name, repl) for t in f.terms))
+    if isinstance(f, (tc.AndF, tc.OrF)):
+        return type(f)(ref_subst(f.left, name, repl), ref_subst(f.right, name, repl))
+    if isinstance(f, (tc.BoundedAll, tc.BoundedEx)):
+        bound = ref_subst_term(f.bound, name, repl)
+        body = f.body if f.var == name else ref_subst(f.body, name, repl)
+        return type(f)(f.var, bound, body)
+    body = f.body if f.var == name else ref_subst(f.body, name, repl)
+    return type(f)(f.var, body)
+
+
+NAMES = ("x", "y", "z")
+
+
+def rand_open_term(rng, depth):
+    if depth <= 0 or rng.random() < 0.3:
+        return tc.Var(rng.choice(NAMES)) if rng.random() < 0.6 else tc.numeral(rng.randrange(4))
+    k = rng.randrange(4)
+    if k < 2:
+        return (tc.Succ, tc.Exp)[k](rand_open_term(rng, depth - 1))
+    return (tc.Plus, tc.Times)[k - 2](rand_open_term(rng, depth - 1), rand_open_term(rng, depth - 1))
+
+
+def rand_open_formula(rng, depth):
+    """Formulas over three names, so quantifiers shadow names free outside
+    them and bounds mention the name their own quantifier binds."""
+    if depth <= 0 or rng.random() < 0.2:
+        pred = rng.choice(("P", "=", "<="))
+        arity = rng.randrange(1, 3) if pred == "P" else 2
+        terms = tuple(rand_open_term(rng, 2) for _ in range(arity))
+        return rng.choice((tc.Atom, tc.NegAtom))(pred, terms)
+    k = rng.randrange(4)
+    if k == 0:
+        return rng.choice((tc.AndF, tc.OrF))(
+            rand_open_formula(rng, depth - 1), rand_open_formula(rng, depth - 1)
+        )
+    var, body = rng.choice(NAMES), rand_open_formula(rng, depth - 1)
+    if k == 1:
+        return rng.choice((tc.All, tc.Ex))(var, body)
+    return rng.choice((tc.BoundedAll, tc.BoundedEx))(var, rand_open_term(rng, 1), body)
+
+
+def test_cached_vars_and_subst_match_the_recursive_walks():
+    rng = random.Random(5150)
+    changed = shadowed = 0
+    for _ in range(500):
+        f = rand_open_formula(rng, 4)
+        assert tc.free_vars(f) == ref_free_vars(f)
+        assert tc.free_vars(f, {"w"}) == ref_free_vars(f, {"w"})
+        for name in NAMES:
+            repl = tc.numeral(rng.randrange(6))
+            got, want = tc.subst(f, name, repl), ref_subst(f, name, repl)
+            assert tc.render_formula(got) == tc.render_formula(want)
+            assert got is want
+            changed += got is not f
+            t = rand_open_term(rng, 3)
+            assert tc.term_vars(t) == ref_term_vars(t)
+            assert tc.render_term(tc.subst_term(t, name, repl)) == tc.render_term(
+                ref_subst_term(t, name, repl)
+            )
+        shadowed += any(
+            isinstance(g, (tc.BoundedAll, tc.BoundedEx)) and g.var in g.bound.fv
+            for g in _subformulas(f)
+        )
+    # the corpus exercises both the shortcut and the shadowing case
+    assert changed > 300 and shadowed > 50
+
+
+def _subformulas(f):
+    yield f
+    for part in ("left", "right", "body"):
+        if hasattr(f, part):
+            yield from _subformulas(getattr(f, part))
