@@ -23,6 +23,7 @@ such number is 6 (it decodes to the increasing term list [1, eps0]).
 from __future__ import annotations
 
 from math import isqrt
+import weakref
 
 from .errors import (
     BudgetExceededError,
@@ -40,47 +41,64 @@ sits far above every literal the tests and fixtures use (the largest is
 1000)."""
 
 
+# Terms and notations are hash-consed (Filliatre & Conchon, "Type-safe
+# modular hash-consing", ML Workshop 2006), as truthcore's nodes are:
+# building a node whose fields equal a live node's returns that node.  Every
+# notation has one normal form, so equal notations are the same object, and
+# equality and hashing are object identity.  The tables hold their nodes
+# weakly, so a node leaves them once nothing else refers to it.  Nodes must
+# never be mutated, apart from filling in their Godel code cache, and the
+# tables take no lock: build nodes from one thread at a time.
+
+_TERMS = weakref.WeakValueDictionary()  # (index, argument) -> VeblenTerm
+_ORDINALS = weakref.WeakValueDictionary()  # term tuple -> Ordinal
+_BY_CODE = weakref.WeakValueDictionary()  # Godel code -> Ordinal
+
+
 class VeblenTerm:
-    """One summand phi(index, argument)."""
+    """One summand phi(index, argument); `_code` caches its pair code."""
 
-    __slots__ = ("index", "argument", "_hash")
+    __slots__ = ("index", "argument", "_code", "__weakref__")
 
-    def __init__(self, index, argument):
-        self.index = index
-        self.argument = argument
-        self._hash = hash(("veb", index, argument))
+    def __new__(cls, index, argument):
+        key = (index, argument)
+        node = _TERMS.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.index = index
+            node.argument = argument
+            node._code = None
+            _TERMS[key] = node
+        return node
 
-    def __eq__(self, other):
-        if not isinstance(other, VeblenTerm):
-            return NotImplemented
-        return self.index == other.index and self.argument == other.argument
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return VeblenTerm, (self.index, self.argument)
 
     def __repr__(self):
         return "VeblenTerm(%r, %r)" % (self.index, self.argument)
 
 
 class Ordinal:
-    """A notation: tuple of VeblenTerm summands, largest first.  () is 0."""
+    """A notation: tuple of VeblenTerm summands, largest first.  () is 0.
+    `_code` caches its Godel code once computed."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_code", "__weakref__")
 
-    def __init__(self, terms=()):
-        self.terms = tuple(terms)
-        self._hash = hash(("ord", self.terms))
+    def __new__(cls, terms=()):
+        terms = tuple(terms)
+        node = _ORDINALS.get(terms)
+        if node is None:
+            node = object.__new__(cls)
+            node.terms = terms
+            node._code = None
+            _ORDINALS[terms] = node
+        return node
+
+    def __reduce__(self):
+        return Ordinal, (self.terms,)
 
     def is_zero(self):
         return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return compare(self, other) < 0
@@ -104,6 +122,9 @@ ZERO = Ordinal()
 ONE = Ordinal((VeblenTerm(ZERO, ZERO),))
 OMEGA = Ordinal((VeblenTerm(ZERO, ONE),))
 EPS0 = Ordinal((VeblenTerm(ONE, ZERO),))
+_UNIT = ONE.terms[0]  # phi(0, 0), the summand of a natural
+ZERO._code = 0
+_BY_CODE[0] = ZERO
 
 
 def _cmp_term(s, t):
@@ -250,13 +271,13 @@ def check_summands(n):
 def to_int(a):
     """The natural a denotes, or None if a is infinite."""
     for t in a.terms:
-        if t != ONE.terms[0]:
+        if t is not _UNIT:
             return None
     return len(a.terms)
 
 
 def is_successor(a):
-    return bool(a.terms) and a.terms[-1] == ONE.terms[0]
+    return bool(a.terms) and a.terms[-1] is _UNIT
 
 
 def is_limit(a):
@@ -281,16 +302,26 @@ def _unpair(z):
 
 
 def godel_code(a, max_bits=None):
-    """The Cantor-pairing code of a.  With max_bits, BudgetExceededError as
-    soon as a partial code is longer: pairing never makes a code smaller than
-    its parts, so the whole code would be longer too."""
-    code = 0
-    for t in reversed(a.terms):
-        code = _pair(
-            _pair(godel_code(t.index, max_bits), godel_code(t.argument, max_bits)), code
-        ) + 1
-        if max_bits is not None and code.bit_length() > max_bits:
-            raise BudgetExceededError("the Godel code has more than %d bits" % max_bits)
+    """The Cantor-pairing code of a, computed once per node and cached.
+
+    With max_bits, BudgetExceededError as soon as a partial code is longer:
+    pairing never makes a code smaller than its parts, so the whole code
+    would be longer too.  A cached code is held to max_bits as well."""
+    code = a._code
+    if code is None:
+        code = 0
+        for t in reversed(a.terms):
+            if t._code is None:
+                t._code = _pair(godel_code(t.index, max_bits), godel_code(t.argument, max_bits))
+            code = _check_bits(_pair(t._code, code) + 1, max_bits)
+        a._code = code
+        _BY_CODE[code] = a
+    return _check_bits(code, max_bits)
+
+
+def _check_bits(code, max_bits):
+    if max_bits is not None and code.bit_length() > max_bits:
+        raise BudgetExceededError("the Godel code has more than %d bits" % max_bits)
     return code
 
 
@@ -298,16 +329,32 @@ def godel_decode(n):
     """Inverse of godel_code; InvalidCodeError on non-normal-form codes."""
     if n < 0:
         raise InvalidCodeError("codes are naturals")
-    a = _decode_raw(n)
-    if not is_normal_form(a):
+    a = _decode(n)
+    if a is None:
         raise InvalidCodeError("code %d does not denote a normal form" % n)
     return a
 
 
-def _decode_raw(n):
-    terms = []
-    while n:
-        u, n = _unpair(n - 1)
+def _decode(n):
+    """The notation with code n, or None when n codes no normal form.
+
+    A code resolves through the code index, so a live sub-notation is never
+    decoded or checked again.  A new node is built from parts that are
+    already normal forms, so only the two local conditions need checking."""
+    node = _BY_CODE.get(n)
+    if node is None:
+        u, rest = _unpair(n - 1)
         i, b = _unpair(u)
-        terms.append(VeblenTerm(_decode_raw(i), _decode_raw(b)))
-    return Ordinal(terms)
+        index, argument, tail = _decode(i), _decode(b), _decode(rest)
+        if index is None or argument is None or tail is None:
+            return None
+        if len(argument.terms) == 1 and compare(argument.terms[0].index, index) > 0:
+            return None  # argument is a fixed point of phi_index
+        head = VeblenTerm(index, argument)
+        if tail.terms and _cmp_term(head, tail.terms[0]) < 0:
+            return None  # summands must be non-increasing
+        head._code = u
+        node = Ordinal((head,) + tail.terms)
+        node._code = n
+        _BY_CODE[n] = node
+    return node

@@ -152,27 +152,22 @@ def formula_key(f):
 
 def normalize(f):
     """Set-semantics normal form: flattened, sorted, deduplicated conjunctions."""
-    return _normalize(f, {})[0]
+    return _normalize(f)[0]
 
 
-def _normalize(f, codes):
+def _normalize(f):
     """(normalize(f), its formula_key), each key built from its children's.
 
-    codes maps each diamond index to its godel_code, so one call codes every
-    distinct index once.  Conjunctions are flattened before they are sorted
-    and deduplicated, which makes the result idempotent and duplicate-free
-    even on nested input.
+    Conjunctions are flattened before they are sorted and deduplicated, which
+    makes the result idempotent and duplicate-free even on nested input.
     """
     if isinstance(f, Diam):
-        body, key = _normalize(f.body, codes)
-        code = codes.get(f.index)
-        if code is None:
-            code = codes[f.index] = godel_code(f.index)
-        return Diam(f.index, body), (2, code, key)
+        body, key = _normalize(f.body)
+        return Diam(f.index, body), (2, godel_code(f.index), key)
     if isinstance(f, And):
         seen = {}
         for c in f.conjuncts:
-            g, key = _normalize(c, codes)
+            g, key = _normalize(c)
             if isinstance(g, And):
                 for part, part_key in zip(g.conjuncts, key[1:]):
                     seen.setdefault(part_key, part)
@@ -701,8 +696,8 @@ def proof_search(f, g, max_depth=24):
         cands = []
         seen = set()
         for b in indices_of(rhs, []):
-            if compare(b, lhs.index) < 0 and godel_code(b) not in seen:
-                seen.add(godel_code(b))
+            if compare(b, lhs.index) < 0 and b not in seen:
+                seen.add(b)
                 cands.append(b)
         for b in cands:
             lowered = Diam(b, lhs.body)
@@ -850,9 +845,8 @@ def word_normal_form(f, budget=2000):
 
     def collect(h):
         if isinstance(h, Diam):
-            code = godel_code(h.index)
-            if code not in seen:
-                seen.add(code)
+            if h.index not in seen:
+                seen.add(h.index)
                 letters.append(h.index)
             collect(h.body)
         elif isinstance(h, And):

@@ -78,8 +78,10 @@ def lower(alpha, w):
 def order_type(w):
     """Position of w in the well-order on words over level 0.
 
-    Empty worm: 0.  If a zero letter occurs, split at the first one,
-    A = C 0 B with C zero-free: o(A) = o(B) + w^(o(C lowered by 1)).
+    Empty worm: 0.  If zero letters occur, split at them into
+    C0 0 C1 0 ... 0 Ck with every Cj zero-free; then
+    o(A) = o(Ck) + w^o(C(k-1) lowered by 1) + ... + w^o(C0 lowered by 1),
+    which unrolls o(C 0 B) = o(B) + w^o(C lowered by 1) over every zero.
     Otherwise let m be the least letter and [m1 >= ... >= mk] its base-w
     exponents: o(A) = paper_phi(m1, ... paper_phi(mk, -1 + o(A lowered by m))).
     The inner -1 + x is total because the lowered worm contains a zero letter.
@@ -87,11 +89,17 @@ def order_type(w):
     letters = w.letters
     if not letters:
         return ZERO
-    for i, letter in enumerate(letters):
+    blocks = [[]]
+    for letter in letters:
         if letter.is_zero():
-            prefix = Worm(letters[:i])
-            rest = order_type(Worm(letters[i + 1:]))
-            return add(rest, omega_power(order_type(lower(ONE, prefix))))
+            blocks.append([])
+        else:
+            blocks[-1].append(letter)
+    if len(blocks) > 1:
+        acc = order_type(Worm(blocks[-1]))
+        for block in reversed(blocks[:-1]):
+            acc = add(acc, omega_power(order_type(lower(ONE, Worm(block)))))
+        return acc
     m = letters[0]
     for letter in letters[1:]:
         if compare(letter, m) < 0:

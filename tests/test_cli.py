@@ -11,6 +11,8 @@ import pytest
 
 import rcworm
 from rcworm.cli import CODE_BIT_CAP, main, run_fixture_file
+from rcworm.ordinal import godel_code
+from rcworm.syntax import parse_ordinal
 from rcworm.truthcore import TRUTH_CAP
 
 
@@ -136,6 +138,22 @@ def test_ord_code_too_long_to_print(capsys):
     assert str(CODE_BIT_CAP) in payload["error"]
     code, out = run(capsys, "ord", "code", "w^w^w^w^w^w^w")  # 5,888 bits
     assert code == 0 and len(out) == 1773
+
+
+def test_ord_code_cap_holds_for_a_cached_code(capsys):
+    tower = "w^w^w^w^w^w^w^w^w"
+    a = parse_ordinal(tower)  # alive, so each parse below returns a itself
+    assert godel_code(a).bit_length() == 94179  # cached on a, uncapped
+    for _ in range(2):
+        code, out = run(capsys, "ord", "code", tower)
+        assert code == 1 and str(CODE_BIT_CAP) in out
+
+
+def test_worm_o_on_a_long_worm(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "worm", "o", "[%s]" % ",".join(["1,0"] * 1500))
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (0, "w*1500")
 
 
 def test_ord_code_refused_before_the_whole_code_exists(capsys):

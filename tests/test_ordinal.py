@@ -4,12 +4,16 @@ Expected values below were computed by hand from the normal-form rules
 before the implementation existed, then frozen.
 """
 
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import ordinals, rand_ordinal
+from rcworm import ordinal
 from rcworm.errors import (
     BudgetExceededError,
     InvalidCodeError,
@@ -41,6 +45,7 @@ from rcworm.ordinal import (
     predecessor,
     to_int,
 )
+from rcworm.syntax import parse_ordinal
 
 
 def test_integer_round_trip():
@@ -153,15 +158,19 @@ def test_godel_code_small_values():
 
 
 def test_godel_decode_rejects_least_invalid_code():
-    with pytest.raises(InvalidCodeError):
+    with pytest.raises(InvalidCodeError, match=r"^code 6 "):
         godel_decode(6)
     for n in range(6):
         godel_decode(n)  # all smaller codes are valid
+    # a bad part deep inside is reported under the code the caller passed
+    n = ordinal._pair(ordinal._pair(0, 6), 0) + 1
+    with pytest.raises(InvalidCodeError, match=r"^code %d " % n):
+        godel_decode(n)
 
 
 @given(ordinals())
 def test_codes_round_trip(a):
-    assert godel_decode(godel_code(a)) == a
+    assert godel_decode(godel_code(a)) is a
 
 
 @given(ordinals())
@@ -172,6 +181,124 @@ def test_code_cap_is_exact(a):
     if n:
         with pytest.raises(BudgetExceededError):
             godel_code(a, max_bits=n.bit_length() - 1)
+
+
+def reference_decode(n):
+    """godel_decode as first written: decode the whole structure, then
+    validate the whole tree; None where that refuses n."""
+    a = raw_decode(n)
+    return a if is_normal_form(a) else None
+
+
+def raw_decode(n):
+    terms = []
+    while n:
+        u, n = ordinal._unpair(n - 1)
+        i, b = ordinal._unpair(u)
+        terms.append(VeblenTerm(raw_decode(i), raw_decode(b)))
+    return Ordinal(terms)
+
+
+def raw_code(terms):
+    """The code of a term list, normal or not, from the module docstring."""
+    code = 0
+    for t in reversed(terms):
+        code = ordinal._pair(ordinal._pair(godel_code(t.index), godel_code(t.argument)), code) + 1
+    return code
+
+
+def decoded(n):
+    try:
+        return godel_decode(n)
+    except InvalidCodeError:
+        return None
+
+
+def rand_normal_form(rng):
+    """A sum of up to 9 summands over w, eps and phi(2, _) bases."""
+    out = ZERO
+    for _ in range(rng.randrange(1, 10)):
+        base = rng.choice([ZERO, ONE, from_int(2)])
+        out = add(out, phi(base, from_int(rng.randrange(3))))
+    return out
+
+
+def test_decode_matches_reference_on_every_small_code():
+    valid = 0
+    for n in range(20_000):
+        want = reference_decode(n)
+        assert decoded(n) is want, n
+        valid += want is not None
+    assert 0 < valid < 20_000
+
+
+def test_decode_matches_reference_on_random_normal_forms():
+    rng = random.Random(17)
+    for _ in range(500):
+        a = rand_normal_form(rng)
+        n = godel_code(a)
+        assert n == raw_code(a.terms)
+        assert reference_decode(n) is a and godel_decode(n) is a
+        # the summands in increasing order are no normal form unless all tie
+        bad = raw_code(a.terms[::-1])
+        if a.terms[0] is not a.terms[-1]:
+            assert reference_decode(bad) is None and decoded(bad) is None, a
+
+
+def table_sizes():
+    return len(ordinal._TERMS), len(ordinal._ORDINALS), len(ordinal._BY_CODE)
+
+
+def test_equal_notations_are_one_object():
+    assert parse_ordinal("w^w+eps0*2+3") is add(
+        add(omega_power(OMEGA), phi(ONE, ZERO)),
+        add(phi(ONE, ZERO), from_int(3)),
+    )
+    assert parse_ordinal("phi(2,w)") is phi(from_int(2), omega_power(ONE))
+    assert Ordinal([VeblenTerm(ZERO, ONE)]) is OMEGA
+    assert VeblenTerm(ONE, ZERO) is EPS0.terms[0]
+    # copies go back through the constructors, never past the table
+    a = parse_ordinal("phi(w,1)+w^2")
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a and ZERO.terms == ()
+
+
+def test_intern_tables_hold_nodes_weakly():
+    gc.collect()
+    start = table_sizes()
+    pool = [a for a in map(decoded, range(400)) if a is not None]
+    made = {}  # id -> notation, which keeps every one alive
+    for a in pool:
+        for b in pool:
+            x = add(omega_power(phi(a, b)), a)
+            godel_code(x)
+            made[id(x)] = x
+    assert len(made) >= 10_000
+    grown = table_sizes()
+    assert all(g >= s + 5_000 for g, s in zip(grown, start)), (start, grown)
+    del pool, made, a, b, x
+    gc.collect()
+    assert all(e <= s + 10 for e, s in zip(table_sizes(), start)), (start, table_sizes())
+
+
+def test_decoding_known_codes_builds_and_checks_nothing(monkeypatch):
+    # A code whose notation is alive resolves through the code index: the
+    # second pass unpairs nothing and builds no node, and neither pass runs
+    # a whole-tree normal-form check.
+    rng = random.Random(29)
+    codes = [godel_code(rand_normal_form(rng)) for _ in range(100)]
+    unpaired = []
+    unpair = ordinal._unpair
+    monkeypatch.setattr(ordinal, "_unpair", lambda z: unpaired.append(z) or unpair(z))
+    monkeypatch.setattr(ordinal, "is_normal_form", None)
+    first = [godel_decode(n) for n in codes]
+    assert unpaired
+    gc.collect()
+    sizes = table_sizes()
+    del unpaired[:]
+    second = [godel_decode(n) for n in codes]
+    assert table_sizes() == sizes and not unpaired
+    assert all(x is y for x, y in zip(first, second))
 
 
 @given(ordinals())
@@ -209,7 +336,7 @@ def reference_compare(a, b):
 
 
 def rebuilt(a):
-    """An equal notation that shares no object with a."""
+    """a rebuilt node by node; interning hands back a itself."""
     return Ordinal(VeblenTerm(rebuilt(t.index), rebuilt(t.argument)) for t in a.terms)
 
 

@@ -90,7 +90,7 @@ def rand_nested(rng, size, indices):
 
 def assert_normal(g):
     """g is flat, sorted, duplicate-free, a fixpoint, and keyed correctly."""
-    again, key = rc._normalize(g, {})
+    again, key = rc._normalize(g)
     assert again == g and key == rc.formula_key(g)
     if isinstance(g, rc.And):
         keys = [rc.formula_key(c) for c in g.conjuncts]
@@ -117,7 +117,7 @@ def test_normalize_keys_and_idempotence_on_random_nested_input():
     rng = random.Random(31)
     mixed = SMALL_ORDINALS + [from_int(k) for k in range(5, 9)]
     for _ in range(300):
-        g, key = rc._normalize(rand_nested(rng, rng.randrange(1, 40), mixed), {})
+        g, key = rc._normalize(rand_nested(rng, rng.randrange(1, 40), mixed))
         assert key == rc.formula_key(g)
         assert_normal(g)
 

@@ -5,10 +5,12 @@ splitting rules (split at minimal letters, fold the step-down function
 over the head exponents) before running the code.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import worms
+from conftest import SMALL_ORDINALS, rand_worm, worms
 from rcworm.errors import NotInFragmentError
 from rcworm.ordinal import (
     EPS0,
@@ -16,9 +18,12 @@ from rcworm.ordinal import (
     ONE,
     ZERO,
     add,
+    cnf_exponents,
     compare,
     from_int,
+    left_subtract,
     omega_power,
+    paper_phi,
     phi,
 )
 from rcworm.syntax import parse_ordinal, parse_worm
@@ -146,3 +151,41 @@ def test_prepending_any_letter_strictly_increases(v, single):
     for letter in single.letters:
         grown = Worm((letter,) + v.letters)
         assert compare(order_type(grown), order_type(v)) > 0
+
+
+def reference_order_type(v):
+    """order_type as first written: split at the first zero and recurse on
+    the rest, o(C 0 B) = o(B) + w^(o(C lowered by 1))."""
+    letters = v.letters
+    if not letters:
+        return ZERO
+    for i, letter in enumerate(letters):
+        if letter.is_zero():
+            rest = reference_order_type(Worm(letters[i + 1:]))
+            head = reference_order_type(lower(ONE, Worm(letters[:i])))
+            return add(rest, omega_power(head))
+    m = letters[0]
+    for letter in letters[1:]:
+        if compare(letter, m) < 0:
+            m = letter
+    inner = left_subtract(ONE, reference_order_type(lower(m, v)))
+    for e in reversed(cnf_exponents(m)):
+        inner = paper_phi(e, inner)
+    return inner
+
+
+def test_order_type_matches_recursive_reference():
+    rng = random.Random(41)
+    letters = SMALL_ORDINALS + [o("w+2"), o("w^w+1"), o("eps0+w"), o("phi(w,1)")]
+    for _ in range(3000):
+        v = rand_worm(rng, max_len=9, letters=letters)
+        assert order_type(v) is reference_order_type(v), v
+    for length in (40, 200):
+        v = rand_worm(rng, max_len=length, letters=letters[:6])
+        assert order_type(v) is reference_order_type(v), v
+
+
+def test_order_type_of_a_long_alternating_worm():
+    # one step per zero letter, so length costs no recursion depth
+    assert order_type(Worm((ONE, ZERO) * 1500)) == o("w*1500")
+    assert order_type(Worm((ZERO, OMEGA) * 1500)) == o("eps0*1500+1")
