@@ -2,59 +2,59 @@
 spectra, well-ordering bounds, and a micro-scale fast-growing-hierarchy
 evaluator.
 
-Theories are opaque names with attached closed-form clauses, not formalized
-axiom systems.  Each catalog entry answers: at logical-complexity level beta,
-which iteration ordinal does the theory reach?  Entries named after a defining
-word answer through closed forms recorded here; the word itself is kept on the
-descriptor so the same numbers can be recomputed independently through the
-word pipeline (worm.order_type_at).
+Theories are opaque names, not formalized axiom systems.  Each one is
+presented by a defining word, and every catalog answer is read off that word:
+at logical-complexity level beta the theory reaches the order type of its word
+at beta (worm.order_type_at), for beta below the theory's level bound.  The
+well-ordering (Pi^1_1) bound is the order type at level 0, where cataloged,
+and the provably-total function class is the order type at level 1.
 
-Preset keys (CLI syntax KEY or KEY:PARAM, PARAM an ordinal or a decimal):
+Preset keys (CLI syntax KEY or KEY:PARAM, PARAM an ordinal or a decimal); each
+preset's word is one letter, and that letter is also its level bound:
 
-  pi01-ca0:A        iterated comprehension, set-induction-free base; A >= 1
-  pi01-ca:A         same with full induction; A >= 1
-  pi01-ca0-lim:L    union of the above below a limit stage L
-  pi01-ca-lim:L     ditto with full induction
-  pa-t            | full truth induction; defining word [w*2]
-  aca             | same strength; defining word [w*2]
-  ea-ct-isigma-n:N  restricted truth induction; defining word [w+N+1]
+  pi01-ca0:A        iterated comprehension, set-induction-free base; A >= 1;
+                    word [w^(A+1)]
+  pi01-ca:A         same with full induction; A >= 1; word [w^(A+1)+w]
+  pi01-ca0-lim:L    union of the above below a limit stage L; word [w^L]
+  pi01-ca-lim:L     ditto with full induction; word [w^L]
+  pa-t              full truth induction; word [w*2]; no Pi^1_1 bound
+  aca               same strength; word [w*2]
+  ea-ct-isigma-n:N  restricted truth induction; word [w+N+1]; no Pi^1_1 bound
 """
 
 from .errors import (
     BudgetExceededError,
     InvalidCodeError,
-    NotInFragmentError,
     OutOfApplicabilityError,
     UnsupportedError,
 )
 from .ordinal import (
     ONE,
     OMEGA,
-    EPS0,
     ZERO,
+    Ordinal,
     add,
     compare,
     from_int,
     godel_decode,
     is_limit,
     omega_power,
-    phi,
     to_int,
 )
-from .worm import Worm, in_fragment, order_type_at
+from .worm import Worm, order_type_at
 
 
 class TheoryDescriptor:
-    """A cataloged theory; levels below `bound` have a defined ordinal."""
+    """A cataloged theory: levels below `bound` are answered by the order
+    type of `word`; `pi11` says whether a well-ordering bound is cataloged."""
 
-    __slots__ = ("name", "key", "param", "word", "bound")
+    __slots__ = ("name", "word", "bound", "pi11")
 
-    def __init__(self, name, key, param=None, word=None, bound=None):
+    def __init__(self, name, word, bound=None, pi11=False):
         self.name = name
-        self.key = key
-        self.param = param
         self.word = word
         self.bound = bound
+        self.pi11 = pi11
 
     def __repr__(self):
         return "TheoryDescriptor(%r)" % (self.name,)
@@ -100,98 +100,72 @@ class Spectrum:
         return "Spectrum(%r)" % (list(self.entries),)
 
 
-def _tower(k):
-    """The k-th member of 1, w, w^w, w^(w^w), ..."""
-    v = ONE
-    for _ in range(k):
-        v = omega_power(v)
-    return v
-
-
-def _eps(a):
-    return phi(ONE, a)
-
-
-OMEGA2 = add(OMEGA, OMEGA)
-
-
-def word_theory(word, bound=None):
-    """A theory presented by a word alone; levels answered via the word."""
-    if bound is None and word.letters:
-        low = word.letters[0]
-        for l in word.letters:
-            if compare(l, low) < 0:
-                low = l
-        bound = add(low, ONE)
+def word_theory(word):
+    """A theory presented by a word alone, defined up to its least letter."""
+    bound = add(min(word.letters), ONE) if word.letters else None
     from .syntax import render
 
-    return TheoryDescriptor("word:%s" % render(word), "word", word=word, bound=bound)
+    return TheoryDescriptor("word:%s" % render(word), word, bound)
 
 
-def _preset_pi01(key, alpha, full_induction):
-    if compare(alpha, ONE) < 0:
+def _exponent(key, param):
+    if not isinstance(param, Ordinal):
+        raise UnsupportedError("%s needs an ordinal parameter" % key)
+    if compare(param, ONE) < 0:
         raise UnsupportedError("iteration exponent must be at least 1: %s" % (key,))
-    from .syntax import render
-
-    succ = add(alpha, ONE)
-    bound = omega_power(succ)
-    if full_induction:
-        bound = add(bound, OMEGA)
-    return TheoryDescriptor(
-        "%s:%s" % (key, render(alpha)), key, param=alpha, bound=bound
-    )
+    return param
 
 
-def _preset_pi01_lim(key, lam):
-    if not is_limit(lam):
+def _limit(key, param):
+    if not isinstance(param, Ordinal):
+        raise UnsupportedError("%s needs an ordinal parameter" % key)
+    if not is_limit(param):
         raise UnsupportedError("stage must be a limit ordinal: %s" % (key,))
-    from .syntax import render
-
-    return TheoryDescriptor(
-        "%s:%s" % (key, render(lam)), key, param=lam, bound=omega_power(lam)
-    )
+    return param
 
 
-def _preset_word(name, key, word, bound, param=None):
-    return TheoryDescriptor(name, key, param=param, word=word, bound=bound)
+def _natural(key, param):
+    if isinstance(param, int):
+        if param < 0:
+            raise UnsupportedError("%s needs a natural number, got %d" % (key, param))
+        return from_int(param)
+    if not isinstance(param, Ordinal) or to_int(param) is None:
+        raise UnsupportedError("%s needs a finite parameter" % key)
+    return param
+
+
+def _no_parameter(key, param):
+    if param is not None:
+        raise UnsupportedError("%s takes no parameter" % key)
+    return None
+
+
+# key -> (parameter check, letter of the defining word, Pi^1_1 bound cataloged)
+_PRESETS = {
+    "pi01-ca0": (_exponent, lambda a: omega_power(add(a, ONE)), True),
+    "pi01-ca": (_exponent, lambda a: add(omega_power(add(a, ONE)), OMEGA), True),
+    "pi01-ca0-lim": (_limit, omega_power, True),
+    "pi01-ca-lim": (_limit, omega_power, True),
+    "pa-t": (_no_parameter, lambda _: add(OMEGA, OMEGA), False),
+    "aca": (_no_parameter, lambda _: add(OMEGA, OMEGA), True),
+    "ea-ct-isigma-n": (_natural, lambda n: add(OMEGA, add(n, ONE)), False),
+}
 
 
 def make_theory(key, param=None):
     """Construct a cataloged descriptor from a preset key and parameter."""
-    if key == "pi01-ca0":
-        return _preset_pi01(key, _need_ord(key, param), False)
-    if key == "pi01-ca":
-        return _preset_pi01(key, _need_ord(key, param), True)
-    if key == "pi01-ca0-lim":
-        return _preset_pi01_lim(key, _need_ord(key, param))
-    if key == "pi01-ca-lim":
-        return _preset_pi01_lim(key, _need_ord(key, param))
-    if key in ("pa-t", "aca"):
-        if param is not None:
-            raise UnsupportedError("%s takes no parameter" % key)
-        return _preset_word(key, key, Worm((OMEGA2,)), OMEGA2)
-    if key == "ea-ct-isigma-n":
-        n = _need_nat(key, param)
-        letter = add(OMEGA, from_int(n + 1))
-        return _preset_word(
-            "%s:%d" % (key, n), key, Worm((letter,)), letter, param=n
-        )
-    raise UnsupportedError("unknown theory %r" % (key,))
+    preset = _PRESETS.get(key)
+    if preset is None:
+        raise UnsupportedError("unknown theory %r" % (key,))
+    check, letter_of, pi11 = preset
+    param = check(key, param)
+    name = key
+    if param is not None:
+        from .syntax import render
 
-
-def _need_ord(key, param):
-    if param is None:
-        raise UnsupportedError("%s needs an ordinal parameter" % key)
-    return param
-
-
-def _need_nat(key, param):
-    if isinstance(param, int):
-        return param
-    n = to_int(param) if param is not None else None
-    if n is None:
-        raise UnsupportedError("%s needs a finite parameter" % key)
-    return n
+        name = "%s:%s" % (key, render(param))
+    letter = letter_of(param)
+    return TheoryDescriptor(name, Worm((letter,)), letter, pi11)
 
 
 def parse_theory(text):
@@ -204,48 +178,12 @@ def parse_theory(text):
     return make_theory(key, param)
 
 
-def _check_level(t, beta):
-    if t.bound is not None and compare(beta, t.bound) >= 0:
-        raise OutOfApplicabilityError(
-            "level out of range for %s" % (t.name,)
-        )
-
-
 def ord_at(t, beta):
-    """The iteration ordinal the theory reaches at complexity level beta."""
-    _check_level(t, beta)
-    if t.key == "word":
-        if not in_fragment(beta, t.word):
-            raise OutOfApplicabilityError("level above a letter of the word")
-        return order_type_at(beta, t.word)
-    if t.key == "pi01-ca0":
-        return phi(add(t.param, ONE), ZERO)
-    if t.key == "pi01-ca":
-        if compare(beta, omega_power(add(t.param, ONE))) < 0:
-            return phi(add(t.param, ONE), EPS0)
-        return EPS0
-    if t.key in ("pi01-ca0-lim", "pi01-ca-lim"):
-        return phi(t.param, ZERO)
-    if t.key in ("pa-t", "aca"):
-        # closed forms; the word [w*2] recomputes these independently
-        if compare(beta, OMEGA) < 0:
-            return _eps(EPS0)
-        return EPS0
-    if t.key == "ea-ct-isigma-n":
-        # word [w+n+1]: levels below w keep the full order type, level w+j
-        # strips the head down to the (n+1-j)-story tower
-        n = t.param
-        if compare(beta, OMEGA) < 0:
-            return _eps(_tower(n + 1))
-        j = to_int(_level_past_omega(beta))
-        return _tower(n + 1 - j)
-    raise UnsupportedError("no level clause for %s" % (t.name,))
-
-
-def _level_past_omega(beta):
-    from .ordinal import left_subtract
-
-    return left_subtract(OMEGA, beta)
+    """The iteration ordinal the theory reaches at complexity level beta:
+    the order type of its defining word at beta."""
+    if t.bound is not None and compare(beta, t.bound) >= 0:
+        raise OutOfApplicabilityError("level out of range for %s" % (t.name,))
+    return order_type_at(beta, t.word)
 
 
 def spectrum(t, levels):
@@ -254,31 +192,17 @@ def spectrum(t, levels):
 
 
 def pi11_ordinal(t):
-    """Bound on provably well-founded elementary orderings, where cataloged."""
-    if t.key == "pi01-ca0":
-        return phi(add(t.param, ONE), ZERO)
-    if t.key == "pi01-ca":
-        return phi(add(t.param, ONE), EPS0)
-    if t.key in ("pi01-ca0-lim", "pi01-ca-lim"):
-        return phi(t.param, ZERO)
-    if t.key == "aca":
-        return _eps(EPS0)
-    raise UnsupportedError("no well-ordering clause for %s" % (t.name,))
+    """Bound on provably well-founded elementary orderings, where cataloged:
+    the order type of the defining word at level 0."""
+    if not t.pi11:
+        raise UnsupportedError("no well-ordering clause for %s" % (t.name,))
+    return ord_at(t, ZERO)
 
 
 def fgh_class_label(t):
-    """Index of the provably-total computable function class."""
-    if t.key == "pi01-ca0":
-        return phi(add(t.param, ONE), ZERO)
-    if t.key == "pi01-ca":
-        return phi(add(t.param, ONE), EPS0)
-    if t.key in ("pi01-ca0-lim", "pi01-ca-lim"):
-        return phi(t.param, ZERO)
-    if t.key in ("pa-t", "aca", "ea-ct-isigma-n", "word"):
-        if t.word is None:
-            raise UnsupportedError("no function-class clause for %s" % (t.name,))
-        return ord_at(t, ONE)
-    raise UnsupportedError("no function-class clause for %s" % (t.name,))
+    """Index of the provably-total computable function class: the order type
+    of the defining word at level 1."""
+    return ord_at(t, ONE)
 
 
 # ------------------------------------------------------ fast-growing values

@@ -8,7 +8,7 @@ level alpha exactly as their order types at alpha do.
 
 from __future__ import annotations
 
-from .errors import NotInFragmentError
+from .errors import BudgetExceededError, NotInFragmentError
 from .ordinal import (
     ZERO,
     ONE,
@@ -57,6 +57,10 @@ class Worm:
 
 EMPTY = Worm()
 
+# order_type recurses about twice per distinct letter; worms with more
+# distinct letters than this are refused before the recursion starts.
+MAX_DISTINCT_LETTERS = 300
+
 
 def in_fragment(alpha, w):
     """True when every letter of w is >= alpha."""
@@ -85,7 +89,18 @@ def order_type(w):
     Otherwise let m be the least letter and [m1 >= ... >= mk] its base-w
     exponents: o(A) = paper_phi(m1, ... paper_phi(mk, -1 + o(A lowered by m))).
     The inner -1 + x is total because the lowered worm contains a zero letter.
+    Lowering maps letters one-to-one, so the recursion is at most about twice
+    as deep as w has distinct letters; past MAX_DISTINCT_LETTERS of them this
+    raises BudgetExceededError.
     """
+    if len(set(w.letters)) > MAX_DISTINCT_LETTERS:
+        raise BudgetExceededError(
+            "worm has more than %d distinct letters" % MAX_DISTINCT_LETTERS
+        )
+    return _order_type(w)
+
+
+def _order_type(w):
     letters = w.letters
     if not letters:
         return ZERO
@@ -96,15 +111,15 @@ def order_type(w):
         else:
             blocks[-1].append(letter)
     if len(blocks) > 1:
-        acc = order_type(Worm(blocks[-1]))
+        acc = _order_type(Worm(blocks[-1]))
         for block in reversed(blocks[:-1]):
-            acc = add(acc, omega_power(order_type(lower(ONE, Worm(block)))))
+            acc = add(acc, omega_power(_order_type(lower(ONE, Worm(block)))))
         return acc
     m = letters[0]
     for letter in letters[1:]:
         if compare(letter, m) < 0:
             m = letter
-    inner = left_subtract(ONE, order_type(lower(m, w)))
+    inner = left_subtract(ONE, _order_type(lower(m, w)))
     for e in reversed(cnf_exponents(m)):
         inner = paper_phi(e, inner)
     return inner

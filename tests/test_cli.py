@@ -107,6 +107,30 @@ def test_spectrum_and_analysis(capsys):
     assert code == 0 and "phi(2,0)" in out
 
 
+@pytest.mark.parametrize(
+    "theory",
+    ["pi01-ca0:1", "pi01-ca:w", "pi01-ca0-lim:w", "pi01-ca-lim:w^w", "pa-t",
+     "aca", "ea-ct-isigma-n:2"],
+)
+def test_ord_analysis_on_every_preset(capsys, theory):
+    code, out = run(capsys, "ord-analysis", theory)
+    assert code == 0
+    heads = [line.split(":")[0].split(" ->")[0] for line in out.splitlines()]
+    assert heads == [
+        "theory", "well-ordering bound", "function class",
+        "level 0", "level 1", "level w",
+    ]
+
+
+@pytest.mark.parametrize(
+    "theory", ["pi01-ca0", "pi01-ca0-lim", "ea-ct-isigma-n", "pa-t:1", "aca:w",
+               "pi01-ca0-lim:5", "pi01-ca-lim:w+1"],
+)
+def test_ord_analysis_refuses_a_bad_parameter(capsys, theory):
+    code, out = run(capsys, "ord-analysis", theory)
+    assert code == 1 and out.startswith("error:")
+
+
 def test_fgh_command(capsys):
     assert run(capsys, "fgh", "0", "2") == (0, "17")
     code, out = run(capsys, "fgh", "1", "2")
@@ -154,6 +178,13 @@ def test_worm_o_on_a_long_worm(capsys):
     code, out = run(capsys, "worm", "o", "[%s]" % ",".join(["1,0"] * 1500))
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (0, "w*1500")
+
+
+def test_worm_o_refuses_a_deep_worm_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "worm", "o", "[%s]" % ",".join(map(str, range(1, 1001))))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out.startswith("error:")
 
 
 def test_ord_code_refused_before_the_whole_code_exists(capsys):

@@ -18,8 +18,11 @@ from rcworm.ordinal import (
     compare,
     from_int,
     godel_code,
+    is_limit,
+    left_subtract,
     omega_power,
     phi,
+    to_int,
 )
 from rcworm.spectra import (
     Spectrum,
@@ -131,6 +134,146 @@ def test_word_preset_coherence():
         assert t.word is not None
         for beta in levels:
             assert ord_at(t, beta) == order_type_at(beta, t.word), (name, beta)
+
+
+# The catalog answers every question through its defining word.  The closed
+# forms below are the catalog as first written, clause by clause; they share
+# no code with the word pipeline and serve as its oracle.
+
+
+def tower(k):
+    """The k-th member of 1, w, w^w, w^(w^w), ..."""
+    v = ONE
+    for _ in range(k):
+        v = omega_power(v)
+    return v
+
+
+OMEGA_TWO = add(OMEGA, OMEGA)
+
+
+def reference_bound(key, a):
+    if key == "pi01-ca0":
+        return omega_power(add(a, ONE))
+    if key == "pi01-ca":
+        return add(omega_power(add(a, ONE)), OMEGA)
+    if key in ("pi01-ca0-lim", "pi01-ca-lim"):
+        return omega_power(a)
+    if key in ("pa-t", "aca"):
+        return OMEGA_TWO
+    return add(OMEGA, from_int(to_int(a) + 1))
+
+
+def reference_ord_at(key, a, beta):
+    if key == "pi01-ca0":
+        return phi(add(a, ONE), ZERO)
+    if key == "pi01-ca":
+        if compare(beta, omega_power(add(a, ONE))) < 0:
+            return phi(add(a, ONE), EPS0)
+        return EPS0
+    if key in ("pi01-ca0-lim", "pi01-ca-lim"):
+        return phi(a, ZERO)
+    if key in ("pa-t", "aca"):
+        return eps(EPS0) if compare(beta, OMEGA) < 0 else EPS0
+    # ea-ct-isigma-n: eps(tower) below w, and at w+j the tower steps down j
+    n = to_int(a)
+    if compare(beta, OMEGA) < 0:
+        return eps(tower(n + 1))
+    return tower(n + 1 - to_int(left_subtract(OMEGA, beta)))
+
+
+def reference_pi11(key, a):
+    if key == "pi01-ca0":
+        return phi(add(a, ONE), ZERO)
+    if key == "pi01-ca":
+        return phi(add(a, ONE), EPS0)
+    if key in ("pi01-ca0-lim", "pi01-ca-lim"):
+        return phi(a, ZERO)
+    if key == "aca":
+        return eps(EPS0)
+    return None
+
+
+def reference_fgh_class(key, a):
+    if key == "pi01-ca0":
+        return phi(add(a, ONE), ZERO)
+    if key == "pi01-ca":
+        return phi(add(a, ONE), EPS0)
+    if key in ("pi01-ca0-lim", "pi01-ca-lim"):
+        return phi(a, ZERO)
+    return reference_ord_at(key, a, ONE)
+
+
+GRID_PARAMETERS = [
+    o(x)
+    for x in ("1", "2", "3", "w", "w+1", "w*2", "w^2", "w^w", "eps0", "w^w^w")
+]
+GRID_LEVELS = [
+    o(x)
+    for x in (
+        "0", "1", "2", "3", "w", "w+1", "w+2", "w+3", "w+4", "w+5", "w*2",
+        "w^2", "w^2+3", "w^2+w", "w^3", "w^3+w", "w^w", "w^(w+1)", "w^(w*2)",
+        "eps0", "w^w^w",
+    )
+]
+
+
+def grid_theories():
+    """Every (key, parameter) of the grid the catalog accepts."""
+    for key in ("pa-t", "aca"):
+        yield key, None
+    for a in GRID_PARAMETERS:
+        yield "pi01-ca0", a
+        yield "pi01-ca", a
+        if is_limit(a):
+            yield "pi01-ca0-lim", a
+            yield "pi01-ca-lim", a
+    for n in range(5):
+        yield "ea-ct-isigma-n", from_int(n)
+
+
+def test_catalog_matches_closed_forms_on_the_grid():
+    answered = 0
+    for key, a in grid_theories():
+        t = make_theory(key, a)
+        bound = reference_bound(key, a)
+        for beta in GRID_LEVELS:
+            if compare(beta, bound) >= 0:
+                with pytest.raises(OutOfApplicabilityError):
+                    ord_at(t, beta)
+                continue
+            assert ord_at(t, beta) is reference_ord_at(key, a, beta), (t.name, beta)
+            answered += 1
+        assert fgh_class_label(t) is reference_fgh_class(key, a), t.name
+        want = reference_pi11(key, a)
+        if want is None:
+            with pytest.raises(UnsupportedError):
+                pi11_ordinal(t)
+        else:
+            assert pi11_ordinal(t) is want, t.name
+    assert answered > 600
+
+
+def test_every_preset_is_one_letter_equal_to_its_bound():
+    for key, a in grid_theories():
+        t = make_theory(key, a)
+        assert len(t.word) == 1, t.name
+        assert t.word.letters[0] is t.bound, t.name
+        assert t.bound is reference_bound(key, a), t.name
+
+
+def test_make_theory_refuses_bad_parameters():
+    with pytest.raises(UnsupportedError):
+        make_theory("ea-ct-isigma-n", -1)
+    with pytest.raises(UnsupportedError):
+        make_theory("pi01-ca0", 1)
+    with pytest.raises(UnsupportedError):
+        make_theory("pi01-ca-lim", 1)
+    with pytest.raises(UnsupportedError):
+        make_theory("ea-ct-isigma-n", OMEGA)
+    with pytest.raises(UnsupportedError):
+        make_theory("aca", ONE)
+    assert make_theory("ea-ct-isigma-n", 0).name == "ea-ct-isigma-n:0"
 
 
 def test_spectrum_validates_shape():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import SMALL_ORDINALS, rand_worm, worms
-from rcworm.errors import NotInFragmentError
+from rcworm.errors import BudgetExceededError, NotInFragmentError
 from rcworm.ordinal import (
     EPS0,
     OMEGA,
@@ -29,6 +29,7 @@ from rcworm.ordinal import (
 from rcworm.syntax import parse_ordinal, parse_worm
 from rcworm.worm import (
     EMPTY,
+    MAX_DISTINCT_LETTERS,
     Worm,
     compare_at,
     in_fragment,
@@ -189,3 +190,15 @@ def test_order_type_of_a_long_alternating_worm():
     # one step per zero letter, so length costs no recursion depth
     assert order_type(Worm((ONE, ZERO) * 1500)) == o("w*1500")
     assert order_type(Worm((ZERO, OMEGA) * 1500)) == o("eps0*1500+1")
+
+
+def test_order_type_refuses_too_many_distinct_letters():
+    # recursion depth grows with the distinct letters, so they are capped
+    increasing = Worm(from_int(i) for i in range(1, 301))
+    assert MAX_DISTINCT_LETTERS >= 300
+    assert order_type(increasing) is reference_order_type(increasing)
+    too_many = Worm(from_int(i) for i in range(1, MAX_DISTINCT_LETTERS + 2))
+    with pytest.raises(BudgetExceededError):
+        order_type(too_many)
+    with pytest.raises(BudgetExceededError):
+        compare_at(ONE, too_many, increasing)
