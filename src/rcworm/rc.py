@@ -14,7 +14,8 @@ successor bounds.  The right formula is then model-checked at the root.
 
 proof_search produces independently checkable certificates built from the
 six primitive rules; a returned derivation is always locally valid, while
-None only means the depth bound ran out.
+None only means the depth bound ran out.  word_normal_form reads the worm
+of a variable-free formula off worm order types alone, with no model.
 
 numpy is imported only inside the three functions that build or read the
 closure matrix (_close, model_check, RcModel.edges), so a process that
@@ -23,11 +24,10 @@ decides no consequence never loads it.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cmp_to_key
 from itertools import cycle
 
-from .errors import NotVariableFreeError, SearchExhaustedError
+from .errors import BudgetExceededError, NotVariableFreeError
 from .ordinal import (
     ZERO,
     Ordinal,
@@ -37,7 +37,7 @@ from .ordinal import (
     is_successor,
     predecessor,
 )
-from .worm import Worm
+from .worm import MAX_DISTINCT_LETTERS, Worm, compare_at, order_type
 
 
 # ---------------------------------------------------------------- formulas
@@ -180,16 +180,6 @@ def _normalize(f):
             return seen[keys[0]], keys[0]
         return And(seen[k] for k in keys), (3, *keys)
     return f, formula_key(f)
-
-
-def is_variable_free(f):
-    if isinstance(f, Var):
-        return False
-    if isinstance(f, And):
-        return all(is_variable_free(c) for c in f.conjuncts)
-    if isinstance(f, Diam):
-        return is_variable_free(f.body)
-    return True
 
 
 def build_q(beta, k, f):
@@ -791,81 +781,90 @@ def proof_search(f, g, max_depth=24):
 
 
 def merge_words(a, b):
-    """A word equivalent to the conjunction of two words."""
-    if not a.letters:
-        return b
-    if not b.letters:
-        return a
-    ha, hb = a.letters[0], b.letters[0]
-    c = compare(ha, hb)
-    if c > 0:
-        return Worm((ha,) + merge_words(Worm(a.letters[1:]), b).letters)
-    if c < 0:
-        return Worm((hb,) + merge_words(Worm(b.letters[1:]), a).letters)
-    return Worm(
-        (ha,) + merge_words(Worm(a.letters[1:]), Worm(b.letters[1:])).letters
-    )
+    """Two words merged head first: the larger head goes first and equal
+    heads are kept once.  Often, not always, equivalent to their conjunction."""
+    return Worm(_merge(a.letters, b.letters, _ranks(a.letters + b.letters)))
 
 
-def word_normal_form(f, budget=2000):
-    """The worm equivalent to a variable-free formula.
+def _ranks(letters):
+    """Each distinct letter -> its place in the ordinal order (notations are
+    interned, so equal letters are one key)."""
+    return {x: i for i, x in enumerate(sorted(set(letters), key=cmp_to_key(compare)))}
 
-    The result is certificate-checked with derives in both directions before
-    being returned; if the structural merge fails its check, a budgeted
-    enumeration over words in the formula's own letters takes over, and
-    running out of budget raises SearchExhaustedError.
+
+def _merge(a, b, rank):
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        c = rank[a[i]] - rank[b[j]]
+        out.append(a[i] if c >= 0 else b[j])
+        i, j = i + (c >= 0), j + (c <= 0)
+    return tuple(out) + a[i:] + b[j:]
+
+
+def _conj_words(a, b, rank):
+    """The word equivalent to a & b, for words a and b (letter tuples).
+
+    With m the least letter, split a = a1 m a2 and b = b1 m b2 at the first
+    m: a & b = (a1 & b1) m max(a2, b2), the larger tail at level m, where
+    worms are linearly ordered (Beklemishev, APAL 128, 2004).  A word without
+    m is all head.  The loop goes on with a1 and b1, all above m.
     """
-    if not is_variable_free(f):
-        raise NotVariableFreeError("word normal forms exist only for variable-free formulas")
+    first_a, first_b = ({x: i for i, x in reversed(list(enumerate(w)))} for w in (a, b))
+    tails = []
+    for m in sorted(first_a.keys() | first_b.keys(), key=rank.__getitem__):
+        if not (a and b):
+            break
+        i, j = first_a.get(m, len(a)), first_b.get(m, len(b))
+        if i < len(a) or j < len(b):
+            a2, b2 = a[i + 1:], b[j + 1:]
+            if not a2 or (b2 and a2 != b2 and compare_at(m, Worm(a2), Worm(b2)) < 0):
+                a2 = b2
+            tails.append((m,) + a2)
+        a, b = a[:i], b[:j]
+    return sum(reversed(tails), a or b)
 
-    def wnf(g):
-        if isinstance(g, _Top):
-            return Worm()
+
+def word_normal_form(f):
+    """The worm equivalent to a variable-free formula: the merge_words fold
+    when it has the order type of the exact word of _conj_words (and so is
+    equivalent to it), else the exact word.  More than MAX_DISTINCT_LETTERS
+    distinct indices, the order types' cap, raise BudgetExceededError."""
+    merged, exact = _words(f)
+    if merged != exact and compare(order_type(Worm(merged)), order_type(Worm(exact))):
+        return Worm(exact)
+    return Worm(merged)
+
+
+def _words(f):
+    """(merged, exact) words of f.  A stack lists the steps in post-order (()
+    for T, a diamond run's letters, n for n conjuncts), then they run."""
+    letters, steps, todo = set(), [], [f]
+    while todo:
+        g = todo.pop()
         if isinstance(g, Diam):
-            return Worm((g.index,) + wnf(g.body).letters)
-        acc = Worm()
-        for c in g.conjuncts:
-            acc = merge_words(acc, wnf(c))
-        return acc
-
-    def certified(w):
-        wf = worm_formula(w)
-        return derives(f, wf) and derives(wf, f)
-
-    g = normalize(f)
-    if isinstance(g, _Top):
-        return Worm()
-    candidate = wnf(g)
-    if certified(candidate):
-        return candidate
-
-    # fallback: breadth-first over words in the letters occurring in f
-    letters = []
-    seen = set()
-
-    def collect(h):
-        if isinstance(h, Diam):
-            if h.index not in seen:
-                seen.add(h.index)
-                letters.append(h.index)
-            collect(h.body)
-        elif isinstance(h, And):
-            for c in h.conjuncts:
-                collect(c)
-
-    collect(g)
-    letters.sort(key=godel_code)
-    queue = deque([()])
-    spent = 0
-    while queue:
-        prefix = queue.popleft()
-        spent += 1
-        if spent > budget:
-            raise SearchExhaustedError("word normal form search budget exhausted")
-        w = Worm(prefix)
-        if certified(w):
-            return w
-        if len(prefix) < len(candidate.letters) + 2:
-            for letter in letters:
-                queue.append(prefix + (letter,))
-    raise SearchExhaustedError("no equivalent word found within budget")
+            run = []
+            while isinstance(g, Diam):
+                run.append(g.index)
+                g = g.body
+            letters.update(run)
+            todo += [tuple(run), g]
+        elif isinstance(g, And):
+            todo += [len(g.conjuncts), *reversed(g.conjuncts)]
+        elif isinstance(g, Var):
+            raise NotVariableFreeError("word normal forms exist only for variable-free formulas")
+        else:
+            steps.append(g if isinstance(g, (tuple, int)) else ())
+    if len(letters) > MAX_DISTINCT_LETTERS:
+        raise BudgetExceededError(
+            "formula has more than %d distinct indices" % MAX_DISTINCT_LETTERS)
+    rank, done = _ranks(letters), []
+    for step in steps:
+        if isinstance(step, int):
+            merged = exact = ()
+            for m, e in done[-step:]:
+                merged, exact = _merge(merged, m, rank), _conj_words(exact, e, rank)
+            done[-step:] = [(merged, exact)]
+        else:
+            merged, exact = done.pop() if step else ((), ())
+            done.append((step + merged, step + exact))
+    return done[0]

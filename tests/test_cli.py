@@ -11,8 +11,9 @@ import pytest
 
 import rcworm
 from rcworm.cli import CODE_BIT_CAP, main, run_fixture_file
+from rcworm import rc
 from rcworm.ordinal import godel_code
-from rcworm.syntax import parse_ordinal
+from rcworm.syntax import parse_formula, parse_ordinal, parse_worm
 from rcworm.truthcore import TRUTH_CAP
 
 
@@ -72,7 +73,7 @@ def test_rc_commands(capsys):
     assert code == 0 and out == "p & q"
     code, out = run(capsys, "rc", "q", "1", "2", "p")
     assert code == 0 and out == "<1>(p & <1>(p & p))"
-    assert run(capsys, "rc", "wnf", "<1>T & <0>T")[1] in ("[1,0]", "[1]")
+    assert run(capsys, "rc", "wnf", "<1>T & <0>T") == (0, "[1,0]")
 
 
 def test_rc_q_rejects_negative_k(capsys):
@@ -187,6 +188,33 @@ def test_worm_o_refuses_a_deep_worm_at_once(capsys):
     assert code == 1 and out.startswith("error:")
 
 
+def test_rc_wnf_on_long_worm_literals(capsys):
+    # 3000 letters: neither the formula walk nor the merge recurses per letter
+    worm = "[%s]" % ",".join(["1,0"] * 1500)
+    for text in (worm, "<1>T & " + worm):
+        start = time.perf_counter()
+        code, out = run(capsys, "rc", "wnf", text)
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (0, worm)  # [1] & W is W when W starts with 1
+
+
+def test_rc_wnf_large_finite_index_is_fast(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "rc", "wnf", "<26>T") == (0, "[26]")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rc_wnf_where_merging_is_wrong(capsys):
+    # merge_words gives a word that is not equivalent, and a 2000-node
+    # search over words used to run out here after 2.3 s
+    text = ("<w^w><1><3><eps0>T & <w^w>(<0><2><w^2+3>T & <2>(<1><eps0>T & "
+            "<0><3><eps0>T & <0>(<1><3><eps0>T & <1><3><eps0>T)))")
+    code, out = run(capsys, "rc", "wnf", text)
+    assert code == 0
+    f, w = parse_formula(text), rc.worm_formula(parse_worm(out))
+    assert rc.derives(f, w) and rc.derives(w, f)
+
+
 def test_ord_code_refused_before_the_whole_code_exists(capsys):
     # the whole code of 27 has about 10^8 bits; its partial codes pass the
     # cap after 14 summands
@@ -240,6 +268,7 @@ _NO_MODEL_ARGVS = [
     ["worm", "lower", "w", "[w+1,w]"],
     ["rc", "normalize", "q & p & q"],
     ["rc", "q", "1", "2", "p"],
+    ["rc", "wnf", "<1>(T & <1>T)"],
     ["spectrum", "pa-t", "--levels", "0,1,w"],
     ["ord-analysis", "pi01-ca0:1"],
     ["fgh", "0", "2"],

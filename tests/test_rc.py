@@ -17,10 +17,10 @@ from hypothesis import given, settings
 
 from conftest import SMALL_ORDINALS, rand_formula, rand_ordinal, rc_formulas
 from rcworm import rc
-from rcworm.errors import NotVariableFreeError
+from rcworm.errors import BudgetExceededError, NotVariableFreeError
 from rcworm.ordinal import OMEGA, ONE, ZERO, add, compare, from_int, phi
 from rcworm.syntax import parse_formula, parse_worm, render
-from rcworm.worm import Worm
+from rcworm.worm import MAX_DISTINCT_LETTERS, Worm
 
 
 def f(text):
@@ -561,21 +561,72 @@ def test_word_normal_form_transfinite():
     assert rc.derives(wf, g) and rc.derives(g, wf)
 
 
+def ground(x):
+    """x with every variable replaced by T."""
+    if isinstance(x, rc.Var):
+        return rc.TOP
+    if isinstance(x, rc.And):
+        return rc.conj(tuple(ground(c) for c in x.conjuncts))
+    if isinstance(x, rc.Diam):
+        return rc.Diam(x.index, ground(x.body))
+    return x
+
+
+def equivalent(g, w):
+    """Two-way derives between g and the worm w."""
+    wf = rc.worm_formula(w)
+    return rc.derives(g, wf) and rc.derives(wf, g)
+
+
+def merged_word(g):
+    """The merge_words fold over g, conjuncts in their own order."""
+    if isinstance(g, rc.Diam):
+        return Worm((g.index,) + merged_word(g.body).letters)
+    acc = Worm()
+    for c in g.conjuncts if isinstance(g, rc.And) else ():
+        acc = rc.merge_words(acc, merged_word(c))
+    return acc
+
+
 @settings(max_examples=60, deadline=None)
 @given(rc_formulas(indices=None, max_leaves=6))
 def test_word_normal_form_certified_on_random_ground_formulas(a):
-    # strip variables by renaming them to T
-    def ground(x):
-        if isinstance(x, rc.Var):
-            return rc.TOP
-        if isinstance(x, rc.And):
-            return rc.conj(tuple(ground(c) for c in x.conjuncts))
-        if isinstance(x, rc.Diam):
-            return rc.Diam(x.index, ground(x.body))
-        return x
-
     g = ground(a)
-    w = rc.word_normal_form(g)
-    wf = rc.worm_formula(w)
-    assert rc.derives(wf, g)
-    assert rc.derives(g, wf)
+    assert equivalent(g, rc.word_normal_form(g))
+
+
+def test_word_normal_form_on_a_seeded_corpus():
+    rng = random.Random(8803)
+    pool = SMALL_ORDINALS + [from_int(k) for k in range(5, 9)] + transfinite_pool(rng, 6)
+    exact = 0
+    for _ in range(10_000):
+        indices = rng.sample(pool, rng.randint(2, 6))
+        g = ground(rand_formula(rng, rng.randint(1, 16), indices))
+        w = rc.word_normal_form(g)
+        assert equivalent(g, w), render(g)
+        if w != merged_word(g):
+            # the merged word is kept whenever it is equivalent
+            assert not equivalent(g, merged_word(g)), render(g)
+            exact += 1
+    assert exact > 0
+
+
+def test_word_normal_form_letter_cap():
+    cap = MAX_DISTINCT_LETTERS
+    for n in (cap, cap + 1):
+        letters = [add(OMEGA, from_int(k)) for k in range(n)]
+        chain = rc.worm_formula(Worm(letters))
+        ones = rc.conj(rc.Diam(a, rc.TOP) for a in letters)
+        both = rc.conj((rc.worm_formula(Worm(letters[::-1])), chain))
+        for g in (chain, ones, both):
+            if n == cap:
+                assert equivalent(g, rc.word_normal_form(g))
+            else:
+                with pytest.raises(BudgetExceededError):
+                    rc.word_normal_form(g)
+
+
+def test_merge_words_does_not_recurse_per_letter():
+    a = Worm((ONE, ZERO) * 1500)
+    assert rc.merge_words(a, Worm((ONE,))) == a
+    assert rc.merge_words(Worm((TWO,) * 3000), a).letters == (TWO,) * 3000 + a.letters
