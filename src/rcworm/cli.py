@@ -8,13 +8,16 @@ usage error.
 """
 
 import argparse
+import contextlib
+import functools
+import io
 import json
 import sys
 
 from . import rc, spectra, truthcore, worm as worm_mod
 from .errors import DomainError, SearchExhaustedError
-from .ordinal import ZERO, ONE, OMEGA, cnf_exponents, compare, godel_code
-from .syntax import ParseError, parse_formula, parse_ordinal, parse_worm, render
+from .ordinal import ZERO, ONE, OMEGA, add, cnf_exponents, compare, godel_code, paper_phi, phi
+from .syntax import ParseError, parse_formula, parse_ordinal, parse_ordinals, parse_worm, render
 
 
 def _natural(text):
@@ -28,25 +31,6 @@ def _sym(c):
     return "<" if c < 0 else ("=" if c == 0 else ">")
 
 
-def _split_top(text, sep=","):
-    """Split on sep at bracket depth zero."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([<":
-            depth += 1
-        elif ch in ")]>":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
 # ------------------------------------------------------------------ handlers
 
 
@@ -56,15 +40,11 @@ def _cmd_ord_compare(args):
 
 
 def _cmd_ord_add(args):
-    from .ordinal import add
-
     s = render(add(parse_ordinal(args.a), parse_ordinal(args.b)))
     return s, s
 
 
 def _cmd_ord_phi(args):
-    from .ordinal import paper_phi, phi
-
     fn = paper_phi if args.paper else phi
     s = render(fn(parse_ordinal(args.a), parse_ordinal(args.b)))
     return s, s
@@ -121,7 +101,10 @@ def _cmd_rc_derives(args):
         return "false", {"derives": False, "certificate": None}
     d = rc.proof_search(f, g)
     if d is None:
-        raise SearchExhaustedError("derivable, but no certificate within the depth bound")
+        raise SearchExhaustedError(
+            "derivable, but no certificate within the search's depth bound "
+            "and model-node budget"
+        )
     rc.check_derivation(d)
     lines = d.to_lines()
     return "true\n" + "\n".join(lines), {"derives": True, "certificate": lines}
@@ -133,19 +116,18 @@ def _cmd_rc_normalize(args):
 
 
 def _cmd_rc_q(args):
-    f = rc.build_q(parse_ordinal(args.beta), args.k, parse_formula(args.f))
-    return render(f), render(f)
+    s = render(rc.build_q(parse_ordinal(args.beta), args.k, parse_formula(args.f)))
+    return s, s
 
 
 def _cmd_rc_wnf(args):
-    w = rc.word_normal_form(parse_formula(args.f))
-    return render(w), render(w)
+    s = render(rc.word_normal_form(parse_formula(args.f)))
+    return s, s
 
 
 def _cmd_spectrum(args):
     t = spectra.parse_theory(args.theory)
-    levels = [parse_ordinal(x) for x in _split_top(args.levels)]
-    spect = spectra.spectrum(t, levels)
+    spect = spectra.spectrum(t, parse_ordinals(args.levels))
     human = "\n".join(
         "%s -> %s" % (render(l), render(o)) for l, o in spect
     )
@@ -258,303 +240,168 @@ class _FixtureFailure(DomainError):
 
 # ------------------------------------------------------------ fixture runner
 
-
-def _fx_ord_compare(a, b, want):
-    got = _sym(compare(parse_ordinal(a), parse_ordinal(b)))
-    return got == want, got
-
-
-def _fx_ord_add(a, b, want):
-    from .ordinal import add
-
-    got = add(parse_ordinal(a), parse_ordinal(b))
-    return got == parse_ordinal(want), render(got)
-
-
-def _fx_ord_phi(a, b, want):
-    from .ordinal import phi
-
-    got = phi(parse_ordinal(a), parse_ordinal(b))
-    return got == parse_ordinal(want), render(got)
-
-
-def _fx_ord_paper_phi(a, b, want):
-    from .ordinal import paper_phi
-
-    got = paper_phi(parse_ordinal(a), parse_ordinal(b))
-    return got == parse_ordinal(want), render(got)
-
-
-def _fx_ord_code(a, want):
-    got = godel_code(parse_ordinal(a))
-    return got == int(want), str(got)
-
-
-def _fx_worm_o(w, want):
-    got = worm_mod.order_type(parse_worm(w))
-    return got == parse_ordinal(want), render(got)
-
-
-def _fx_worm_o_at(alpha, w, want):
-    got = worm_mod.order_type_at(parse_ordinal(alpha), parse_worm(w))
-    return got == parse_ordinal(want), render(got)
-
-
-def _fx_worm_cmp_at(alpha, w1, w2, want):
-    got = _sym(
-        worm_mod.compare_at(parse_ordinal(alpha), parse_worm(w1), parse_worm(w2))
-    )
-    return got == want, got
-
-
-def _fx_rc_derives(f, g, want):
-    got = rc.derives(parse_formula(f), parse_formula(g))
-    return got == (want == "true"), ("true" if got else "false")
-
-
-def _fx_rc_normalize(f, want):
-    got = rc.normalize(parse_formula(f))
-    return got == rc.normalize(parse_formula(want)), render(got)
-
-
-def _fx_wnf(f, want):
-    got = rc.word_normal_form(parse_formula(f))
-    return got == parse_worm(want), render(got)
-
-
-def _fx_ord_at(theory, beta, want):
-    got = spectra.ord_at(spectra.parse_theory(theory), parse_ordinal(beta))
-    return got == parse_ordinal(want), render(got)
-
-
-def _fx_spectrum(theory, levels, want):
-    t = spectra.parse_theory(theory)
-    spect = spectra.spectrum(t, [parse_ordinal(x) for x in _split_top(levels)])
-    wanted = [parse_ordinal(x) for x in _split_top(want)]
-    got = spect.ordinals()
-    return got == wanted, ",".join(render(o) for o in got)
-
-
-def _fx_pi11(theory, want):
-    got = spectra.pi11_ordinal(spectra.parse_theory(theory))
-    return got == parse_ordinal(want), render(got)
-
-
-def _fx_fgh_class(theory, want):
-    got = spectra.fgh_class_label(spectra.parse_theory(theory))
-    return got == parse_ordinal(want), render(got)
-
-
-def _fx_fgh(alpha, x, want):
-    got = spectra.fgh_eval(parse_ordinal(alpha), int(x))
-    return got == int(want), str(got)
-
-
-def _fx_truth_eval(formula, structure, want):
-    m = truthcore.load_structure(json.loads(structure))
-    got = truthcore.tr_eval(truthcore.parse_truth_formula(formula), m)
-    return got == (want == "true"), ("true" if got else "false")
-
-
-def _fx_classify(formula, want):
-    kind, n = truthcore.classify(truthcore.parse_truth_formula(formula))
-    got = "delta0" if kind == "delta0" else "%s %d" % (kind, n)
-    return got == want, got
-
-
-_FIXTURE_KINDS = {
-    "ord-compare": _fx_ord_compare,
-    "ord-add": _fx_ord_add,
-    "ord-phi": _fx_ord_phi,
-    "ord-paper-phi": _fx_ord_paper_phi,
-    "ord-code": _fx_ord_code,
-    "worm-o": _fx_worm_o,
-    "worm-o-at": _fx_worm_o_at,
-    "worm-cmp-at": _fx_worm_cmp_at,
-    "rc-derives": _fx_rc_derives,
-    "rc-normalize": _fx_rc_normalize,
-    "wnf": _fx_wnf,
-    "ord-at": _fx_ord_at,
-    "spectrum": _fx_spectrum,
-    "pi11": _fx_pi11,
-    "fgh-class": _fx_fgh_class,
-    "fgh": _fx_fgh,
-    "truth-eval": _fx_truth_eval,
-    "classify": _fx_classify,
+# Check kind -> (argv, part).  An int in argv stands for that field of the
+# check, whose last field is the expected text.  The text compared is what
+# the command prints, or with a part, that key of its --json result (a list
+# joined by ",").  truth-eval's structure field is inline JSON.
+_CHECKS = {
+    "ord-compare": (["ord", "compare", 0, 1], None),
+    "ord-add": (["ord", "add", 0, 1], None),
+    "ord-phi": (["ord", "phi", 0, 1], None),
+    "ord-paper-phi": (["ord", "phi", 0, 1, "--paper"], None),
+    "ord-code": (["ord", "code", 0], None),
+    "worm-o": (["worm", "o", 0], None),
+    "worm-o-at": (["worm", "o-at", 0, 1], None),
+    "worm-cmp-at": (["worm", "cmp-at", 0, 1, 2], None),
+    "rc-derives": (["rc", "derives", 0, 1], None),
+    "rc-normalize": (["rc", "normalize", 0], None),
+    "wnf": (["rc", "wnf", 0], None),
+    "ord-at": (["spectrum", 0, "--levels", 1], "ordinals"),
+    "spectrum": (["spectrum", 0, "--levels", 1], "ordinals"),
+    "pi11": (["ord-analysis", 0], "pi11"),
+    "fgh-class": (["ord-analysis", 0], "fghClass"),
+    "fgh": (["fgh", 0, 1], None),
+    "truth-eval": (["truth", "eval", 0, "--structure", 1], None),
+    "classify": (["truth", "classify", 0], None),
 }
 
 
+def _run_check(kind, fields):
+    """The text a fixture check's command gives, run through its handler."""
+    if kind not in _CHECKS:
+        raise ParseError("unknown kind %r" % kind)
+    template, part = _CHECKS[kind]
+    arity = 2 + max(x for x in template if isinstance(x, int))
+    if len(fields) != arity:
+        raise ParseError("%s takes %d fields, got %d" % (kind, arity, len(fields)))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args = _parser().parse_args(
+                [fields[x] if isinstance(x, int) else x for x in template]
+            )
+    except SystemExit:
+        raise ParseError(err.getvalue().strip().rpartition("\n")[2] or "usage error") from None
+    if kind == "truth-eval":
+        args.structure = json.loads(args.structure)
+    human, payload = args.fn(args)
+    if part is None:
+        return human
+    got = payload[part]
+    return ",".join(got) if isinstance(got, list) else str(got)
+
+
 def run_fixture_file(path):
-    """Execute one check per line; returns (passed count, failure list)."""
+    """Run each check of a fixture file; returns (passed count, failure list)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except ValueError as e:  # not UTF-8, or a NUL in the path
+        raise ParseError("fixture file %s: %s" % (path, e)) from None
     passed = 0
     failures = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [p.strip() for p in line.split(";")]
-            kind, rest = fields[0], fields[1:]
-            fn = _FIXTURE_KINDS.get(kind)
-            if fn is None:
-                failures.append((lineno, line, "unknown kind %r" % kind))
-                continue
-            try:
-                ok, got = fn(*rest)
-            except Exception as e:
-                failures.append((lineno, line, "%s: %s" % (type(e).__name__, e)))
-                continue
-            if ok:
-                passed += 1
-            else:
-                failures.append((lineno, line, "got %s" % got))
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        kind, *fields = [p.strip() for p in line.split(";")]
+        try:
+            got = _run_check(kind, fields)
+        except Exception as e:
+            failures.append((lineno, line, "%s: %s" % (type(e).__name__, e)))
+            continue
+        if got == fields[-1]:
+            passed += 1
+        else:
+            failures.append((lineno, line, "got %s" % got))
     return passed, failures
 
 
 # -------------------------------------------------------------------- wiring
 
 
-def _build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="machine output")
+_FLAG = {"action": "store_true"}
+_COUNT = {"type": _natural}
+_STRUCTURE = ("--structure", {})
 
+# Command -> its handler and arguments, each a name or (name, argparse
+# keywords).  A two-word command is a subcommand of its group.
+_COMMANDS = {
+    "ord compare": (_cmd_ord_compare, "a", "b"),
+    "ord add": (_cmd_ord_add, "a", "b"),
+    "ord phi": (_cmd_ord_phi, "a", "b", ("--paper", dict(_FLAG, help="offset first level"))),
+    "ord cnf": (_cmd_ord_cnf, "a"),
+    "ord code": (_cmd_ord_code, "a"),
+    "worm o": (_cmd_worm_o, "w"),
+    "worm o-at": (_cmd_worm_o_at, "alpha", "w"),
+    "worm cmp-at": (_cmd_worm_cmp_at, "alpha", "w1", "w2"),
+    "worm lift": (_cmd_worm_lift, "alpha", "w"),
+    "worm lower": (_cmd_worm_lower, "alpha", "w"),
+    "rc derives": (_cmd_rc_derives, "f", "g", ("--certificate", _FLAG)),
+    "rc normalize": (_cmd_rc_normalize, "f"),
+    "rc q": (_cmd_rc_q, "beta", ("k", _COUNT), "f"),
+    "rc wnf": (_cmd_rc_wnf, "f"),
+    "spectrum": (_cmd_spectrum, "theory", ("--levels", {"required": True})),
+    "ord-analysis": (_cmd_ord_analysis, "theory"),
+    "fgh": (_cmd_fgh, "alpha", ("x", _COUNT), ("--guard", {"type": int, "default": 20000})),
+    "truth eval": (_cmd_truth_eval, "formula", _STRUCTURE),
+    "truth build-ef": (_cmd_truth_build_ef, "formula", _STRUCTURE),
+    "truth classify": (_cmd_truth_classify, "formula"),
+    "fixtures run": (_cmd_fixtures_run, "path"),
+}
+
+_GROUPS = {
+    "ord": "ordinal notation arithmetic",
+    "worm": "words over ordinal letters",
+    "rc": "derivability and normal forms",
+    "truth": "bounded sentences over structures",
+    "fixtures": "regression corpus",
+}
+
+
+@functools.cache
+def _parser():
     top = argparse.ArgumentParser(prog="rcworm", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p_ord = sub.add_parser("ord", help="ordinal notation arithmetic")
-    ord_sub = p_ord.add_subparsers(dest="sub", required=True)
-    p = ord_sub.add_parser("compare", parents=[shared])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_ord_compare, label="ord compare")
-    p = ord_sub.add_parser("add", parents=[shared])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_ord_add, label="ord add")
-    p = ord_sub.add_parser("phi", parents=[shared])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--paper", action="store_true", help="offset first level")
-    p.set_defaults(fn=_cmd_ord_phi, label="ord phi")
-    p = ord_sub.add_parser("cnf", parents=[shared])
-    p.add_argument("a")
-    p.set_defaults(fn=_cmd_ord_cnf, label="ord cnf")
-    p = ord_sub.add_parser("code", parents=[shared])
-    p.add_argument("a")
-    p.set_defaults(fn=_cmd_ord_code, label="ord code")
-
-    p_worm = sub.add_parser("worm", help="words over ordinal letters")
-    worm_sub = p_worm.add_subparsers(dest="sub", required=True)
-    p = worm_sub.add_parser("o", parents=[shared])
-    p.add_argument("w")
-    p.set_defaults(fn=_cmd_worm_o, label="worm o")
-    p = worm_sub.add_parser("o-at", parents=[shared])
-    p.add_argument("alpha")
-    p.add_argument("w")
-    p.set_defaults(fn=_cmd_worm_o_at, label="worm o-at")
-    p = worm_sub.add_parser("cmp-at", parents=[shared])
-    p.add_argument("alpha")
-    p.add_argument("w1")
-    p.add_argument("w2")
-    p.set_defaults(fn=_cmd_worm_cmp_at, label="worm cmp-at")
-    p = worm_sub.add_parser("lift", parents=[shared])
-    p.add_argument("alpha")
-    p.add_argument("w")
-    p.set_defaults(fn=_cmd_worm_lift, label="worm lift")
-    p = worm_sub.add_parser("lower", parents=[shared])
-    p.add_argument("alpha")
-    p.add_argument("w")
-    p.set_defaults(fn=_cmd_worm_lower, label="worm lower")
-
-    p_rc = sub.add_parser("rc", help="derivability and normal forms")
-    rc_sub = p_rc.add_subparsers(dest="sub", required=True)
-    p = rc_sub.add_parser("derives", parents=[shared])
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--certificate", action="store_true")
-    p.set_defaults(fn=_cmd_rc_derives, label="rc derives")
-    p = rc_sub.add_parser("normalize", parents=[shared])
-    p.add_argument("f")
-    p.set_defaults(fn=_cmd_rc_normalize, label="rc normalize")
-    p = rc_sub.add_parser("q", parents=[shared])
-    p.add_argument("beta")
-    p.add_argument("k", type=_natural)
-    p.add_argument("f")
-    p.set_defaults(fn=_cmd_rc_q, label="rc q")
-    p = rc_sub.add_parser("wnf", parents=[shared])
-    p.add_argument("f")
-    p.set_defaults(fn=_cmd_rc_wnf, label="rc wnf")
-
-    p = sub.add_parser("spectrum", parents=[shared])
-    p.add_argument("theory")
-    p.add_argument("--levels", required=True)
-    p.set_defaults(fn=_cmd_spectrum, label="spectrum")
-
-    p = sub.add_parser("ord-analysis", parents=[shared])
-    p.add_argument("theory")
-    p.set_defaults(fn=_cmd_ord_analysis, label="ord-analysis")
-
-    p = sub.add_parser("fgh", parents=[shared])
-    p.add_argument("alpha")
-    p.add_argument("x", type=int)
-    p.add_argument("--guard", type=int, default=20000)
-    p.set_defaults(fn=_cmd_fgh, label="fgh")
-
-    p_truth = sub.add_parser("truth", help="bounded sentences over structures")
-    truth_sub = p_truth.add_subparsers(dest="sub", required=True)
-    p = truth_sub.add_parser("eval", parents=[shared])
-    p.add_argument("formula")
-    p.add_argument("--structure")
-    p.set_defaults(fn=_cmd_truth_eval, label="truth eval")
-    p = truth_sub.add_parser("build-ef", parents=[shared])
-    p.add_argument("formula")
-    p.add_argument("--structure")
-    p.set_defaults(fn=_cmd_truth_build_ef, label="truth build-ef")
-    p = truth_sub.add_parser("classify", parents=[shared])
-    p.add_argument("formula")
-    p.set_defaults(fn=_cmd_truth_classify, label="truth classify")
-
-    p_fix = sub.add_parser("fixtures", help="regression corpus")
-    fix_sub = p_fix.add_subparsers(dest="sub", required=True)
-    p = fix_sub.add_parser("run", parents=[shared])
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_fixtures_run, label="fixtures run")
-
+    groups = {}
+    for label, (fn, *arguments) in _COMMANDS.items():
+        group, _, name = label.rpartition(" ")
+        if group and group not in groups:
+            p = sub.add_parser(group, help=_GROUPS[group])
+            groups[group] = p.add_subparsers(dest="sub", required=True)
+        p = groups[group].add_parser(name) if group else sub.add_parser(name)
+        p.add_argument("--json", action="store_true", help="machine output")
+        for arg in arguments:
+            dest, keywords = arg if isinstance(arg, tuple) else (arg, {})
+            p.add_argument(dest, **keywords)
+        p.set_defaults(fn=fn, label=label)
     return top
 
 
-def _emit(args, label, ok, result=None, error=None, human=None):
-    if getattr(args, "json", False):
-        payload = {"command": label, "ok": ok, "result": result}
+def _emit(args, ok, human, result=None, error=None):
+    if args.json:
+        payload = {"command": args.label, "ok": ok, "result": result}
         if error is not None:
             payload["error"] = error
         print(json.dumps(payload))
     else:
-        print(human if human is not None else (error or ""))
+        print(human)
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    label = getattr(args, "label", args.command)
+    args = _parser().parse_args(argv)
     try:
         human, payload = args.fn(args)
     except _FixtureFailure as e:
-        _emit(args, label, False, result=e.payload, error="fixture failures", human=str(e))
+        _emit(args, False, str(e), result=e.payload, error="fixture failures")
         return 1
     except ParseError as e:
-        _emit(args, label, False, error=str(e), human="parse error: %s" % e)
+        _emit(args, False, "parse error: %s" % e, error=str(e))
         return 2
-    except DomainError as e:
-        _emit(args, label, False, error=str(e), human="error: %s" % e)
+    except (DomainError, OSError) as e:
+        _emit(args, False, "error: %s" % e, error=str(e))
         return 1
-    except ValueError as e:
-        _emit(args, label, False, error=str(e), human="parse error: %s" % e)
-        return 2
-    except OSError as e:
-        _emit(args, label, False, error=str(e), human="error: %s" % e)
-        return 1
-    _emit(args, label, True, result=payload, human=human)
+    _emit(args, True, human, result=payload)
     return 0
 
 

@@ -2,8 +2,19 @@
 
 DomainError subclasses signal well-formed requests whose answer does not
 exist or cannot be produced within limits; the CLI maps them to exit code 1.
-Malformed input is a ParseError (see syntax.py), exit code 2.
+Malformed input is a ParseError, exit code 2.
 """
+
+
+class ParseError(ValueError):
+    """Malformed input: text that does not parse, or arguments that do not fit
+    together.  position, when known, is an offset into the text."""
+
+    def __init__(self, message, position=None):
+        if position is not None:
+            message = "%s (at position %d)" % (message, position)
+        super().__init__(message)
+        self.position = position
 
 
 class DomainError(Exception):

@@ -14,8 +14,9 @@ successor bounds.  The right formula is then model-checked at the root.
 
 proof_search produces independently checkable certificates built from the
 six primitive rules; a returned derivation is always locally valid, while
-None only means the depth bound ran out.  word_normal_form reads the worm
-of a variable-free formula off worm order types alone, with no model.
+None only means the depth bound or the model budget ran out.
+word_normal_form reads the worm of a variable-free formula off worm order
+types alone, with no model.
 
 numpy is imported only inside the three functions that build or read the
 closure matrix (_close, model_check, RcModel.edges), so a process that
@@ -27,7 +28,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from itertools import cycle
 
-from .errors import BudgetExceededError, NotVariableFreeError
+from .errors import BudgetExceededError, NotVariableFreeError, SearchExhaustedError
 from .ordinal import (
     ZERO,
     Ordinal,
@@ -573,8 +574,15 @@ def _restructure(src, dst):
     return Derivation("ax-proj", (src, dst))
 
 
+# Model nodes one proof_search may build.  Self-strengthening doubles the left
+# side per step: searches that find a certificate build under a hundred nodes,
+# and the ones that would never end pass 3,000 within two seconds.
+SEARCH_MODEL_NODES = 1000
+
+
 def proof_search(f, g, max_depth=24):
-    """Bounded goal-directed search; None means the bound ran out, nothing more.
+    """Bounded goal-directed search; None means a bound ran out, nothing more:
+    max_depth, or SEARCH_MODEL_NODES across the models built to vet subgoals.
 
     Every subgoal is first vetted against the closure-model decision procedure,
     so underivable branches die immediately and only true sequents are explored.
@@ -587,12 +595,17 @@ def proof_search(f, g, max_depth=24):
     failed = {}
     models = {}
     sem = {}
+    spent = 0
 
     def holds(lhs, rhs, key):
+        nonlocal spent
         hit = sem.get(key)
         if hit is None:
             m = models.get(key[0])
             if m is None:
+                spent += len(indices_of(lhs, []))
+                if spent > SEARCH_MODEL_NODES:
+                    raise SearchExhaustedError
                 m = build_minimal_model(lhs)
                 models[key[0]] = m
             hit = model_check(m, 0, rhs)
@@ -774,7 +787,10 @@ def proof_search(f, g, max_depth=24):
                 )
         return None
 
-    return search(f, g, max_depth)
+    try:
+        return search(f, g, max_depth)
+    except SearchExhaustedError:
+        return None
 
 
 # ------------------------------------------------------- word normal forms

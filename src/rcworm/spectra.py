@@ -26,6 +26,7 @@ from .errors import (
     BudgetExceededError,
     InvalidCodeError,
     OutOfApplicabilityError,
+    ParseError,
     UnsupportedError,
 )
 from .ordinal import (
@@ -76,7 +77,7 @@ class Spectrum:
         entries = tuple(entries)
         for (l1, o1), (l2, o2) in zip(entries, entries[1:]):
             if compare(l1, l2) >= 0:
-                raise ValueError("levels must be strictly increasing")
+                raise ParseError("levels must be strictly increasing")
             if compare(o1, o2) < 0:
                 raise ValueError("ordinals must not increase along levels")
         self.entries = entries

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import re
 
+from .errors import ParseError
 from .ordinal import (
+    MAX_SUMMANDS,
+    OMEGA,
     ONE,
     ZERO,
     Ordinal,
@@ -32,11 +35,7 @@ from .ordinal import (
 from .rc import TOP, And, Diam, RcFormula, Var, conj, worm_formula
 from .worm import Worm
 
-
-class ParseError(ValueError):
-    def __init__(self, message, position):
-        super().__init__("%s (at position %d)" % (message, position))
-        self.position = position
+_UNIT = ONE.terms[0]  # phi(0,0), the summand of a natural
 
 
 _ALIASES = (
@@ -77,6 +76,14 @@ def _tokenize(text):
         pos = m.end()
     tokens.append((None, len(text)))  # end marker
     return tokens
+
+
+def _decimal(tok):
+    """The count a digit token denotes, at most MAX_SUMMANDS; a longer literal
+    is refused before int() has to convert it."""
+    n = int(tok) if len(tok.lstrip("0")) <= len(str(MAX_SUMMANDS)) else MAX_SUMMANDS + 1
+    check_summands(n)
+    return n
 
 
 class _Parser:
@@ -120,7 +127,7 @@ class _Parser:
             raise ParseError("expected an ordinal", self.pos())
         if tok.isdigit():
             self.next()
-            return from_int(int(tok))
+            return from_int(_decimal(tok))
         base = self.ord_base()
         if self.peek() == "*":
             self.next()
@@ -128,9 +135,7 @@ class _Parser:
             if count is None or not count.isdigit():
                 raise ParseError("expected a count after '*'", self.pos())
             self.next()
-            n = int(count)
-            check_summands(n)
-            return Ordinal(base.terms * n)  # base is one term: already normal
+            return Ordinal(base.terms * _decimal(count))  # base is one term: already normal
         return base
 
     def ord_base(self):
@@ -166,7 +171,7 @@ class _Parser:
             raise ParseError("expected an exponent", self.pos())
         if tok.isdigit():
             self.next()
-            return from_int(int(tok))
+            return from_int(_decimal(tok))
         if tok == "(":
             self.next()
             a = self.ordinal()
@@ -178,14 +183,17 @@ class _Parser:
 
     # ---- worms
 
+    def ordinals(self, end):
+        """Ordinals separated by commas, up to the token end (not consumed)."""
+        out = [] if self.peek() == end else [self.ordinal()]
+        while out and self.peek() == ",":
+            self.next()
+            out.append(self.ordinal())
+        return out
+
     def worm(self):
         self.expect("[")
-        letters = []
-        if self.peek() != "]":
-            letters.append(self.ordinal())
-            while self.peek() == ",":
-                self.next()
-                letters.append(self.ordinal())
+        letters = self.ordinals("]")
         self.expect("]")
         return Worm(letters)
 
@@ -240,6 +248,14 @@ def parse_ordinal(text):
     return a
 
 
+def parse_ordinals(text):
+    """A comma-separated list of ordinals, possibly empty."""
+    p = _Parser(text)
+    out = p.ordinals(None)
+    p.done()
+    return out
+
+
 def parse_worm(text):
     p = _Parser(text)
     w = p.worm()
@@ -258,66 +274,75 @@ def parse_formula(text):
 
 
 def render(x):
-    if isinstance(x, Ordinal):
-        return _render_ordinal(x)
-    if isinstance(x, Worm):
-        return "[%s]" % ",".join(_render_ordinal(a) for a in x.letters)
-    if isinstance(x, RcFormula):
-        return _render_formula(x)
-    raise TypeError("cannot render %r" % (x,))
+    """Canonical text of an ordinal, worm or formula.  The text is built from
+    an explicit stack of pending parts, last part on top, so nesting depth is
+    not limited by Python's recursion limit."""
+    if not isinstance(x, (Ordinal, Worm, RcFormula)):
+        raise TypeError("cannot render %r" % (x,))
+    out = []
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is str:
+            out.append(x)
+        elif cls is Ordinal:
+            stack += reversed(_ordinal_pieces(x))
+        elif cls is Diam:
+            if x.body.__class__ is And:
+                stack += (")", x.body, ">(", x.index, "<")
+            else:
+                stack += (x.body, ">", x.index, "<")
+        elif cls is And:
+            for c in reversed(x.conjuncts):
+                stack += (")", c, "(", " & ") if c.__class__ is And else (c, " & ")
+            stack.pop()
+        elif cls is Var:
+            out.append(x.name)
+        elif cls is Worm:
+            stack.append("]")
+            for a in reversed(x.letters):
+                stack += (a, ",")
+            if x.letters:
+                stack.pop()
+            stack.append("[")
+        else:
+            out.append("T")
+    return "".join(out)
 
 
-def _render_ordinal(a):
-    if a.is_zero():
-        return "0"
+def _ordinal_pieces(a):
+    """The text of a as literal strings and the ordinals whose text goes between."""
+    if not a.terms:
+        return ["0"]
     groups = []
     for t in a.terms:
-        if groups and groups[-1][0] == t:
+        if groups and groups[-1][0] is t:
             groups[-1][1] += 1
         else:
             groups.append([t, 1])
-    parts = []
+    out = []
     for t, n in groups:
-        if t == ONE.terms[0]:
-            parts.append(str(n))
+        if out:
+            out.append("+")
+        if t is _UNIT:
+            out.append(str(n))
             continue
-        base = _render_term(t)
-        parts.append(base if n == 1 else "%s*%d" % (base, n))
-    return "+".join(parts)
-
-
-def _render_term(t):
-    if t.index.is_zero():
-        if t.argument == ONE:
-            return "w"
-        return "w^" + _render_exponent(t.argument)
-    if t.index == ONE:
-        if t.argument.is_zero():
-            return "eps0"
-        return "eps(%s)" % _render_ordinal(t.argument)
-    return "phi(%s,%s)" % (_render_ordinal(t.index), _render_ordinal(t.argument))
-
-
-def _render_exponent(b):
-    n = to_int(b)
-    if n is not None:
-        return str(n)
-    if b == omega_power(ONE):
-        return "w"
-    return "(%s)" % _render_ordinal(b)
-
-
-def _render_formula(f):
-    if f is TOP or isinstance(f, type(TOP)):
-        return "T"
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Diam):
-        body = _render_formula(f.body)
-        if isinstance(f.body, And):
-            body = "(%s)" % body
-        return "<%s>%s" % (_render_ordinal(f.index), body)
-    return " & ".join(
-        "(%s)" % _render_formula(c) if isinstance(c, And) else _render_formula(c)
-        for c in f.conjuncts
-    )
+        if t.index is ZERO:
+            e = t.argument
+            k = to_int(e)
+            if e is ONE:
+                out.append("w")
+            elif k is not None:
+                out.append("w^%d" % k)
+            elif e is OMEGA:
+                out.append("w^w")
+            else:
+                out += ("w^(", e, ")")
+        elif t.index is ONE:
+            out += ["eps0"] if t.argument is ZERO else ["eps(", t.argument, ")"]
+        else:
+            out += ("phi(", t.index, ",", t.argument, ")")
+        if n > 1:
+            out.append("*%d" % n)
+    return out

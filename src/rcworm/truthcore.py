@@ -16,8 +16,7 @@ reports the first offender, so any disagreement between the three routes is
 attributable to a specific clause.
 """
 
-from .errors import BudgetExceededError, NotInFragmentError
-from .syntax import ParseError
+from .errors import BudgetExceededError, NotInFragmentError, ParseError
 
 from functools import reduce
 import json
@@ -328,13 +327,20 @@ def load_structure(source):
     """Structure from a JSON map predicate -> list of members (naturals, or
     tuples as lists for higher arity)."""
     if isinstance(source, str):
-        with open(source) as fh:
-            data = json.load(fh)
+        try:
+            with open(source, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as e:  # not UTF-8, not JSON, or a NUL in the path
+            raise ParseError("structure file %s: %s" % (source, e)) from None
     else:
         data = source
-    if not isinstance(data, dict):
-        raise ValueError("structure file must be a JSON object")
-    return FiniteStructure(data)
+    if isinstance(data, dict):
+        try:
+            return FiniteStructure(data)
+        except TypeError:  # rows that are not a list of members
+            pass
+    raise ParseError("a structure is a JSON object mapping each predicate "
+                     "to a list of naturals or lists of naturals")
 
 
 def eval_term(t):
@@ -798,6 +804,10 @@ class _TruthParser:
             raise ParseError("unexpected end of input", len(self.text))
         if tok.isdigit():
             self.next()
+            if len(tok.lstrip("0")) > len(str(TRUTH_CAP)):  # before int() must convert it
+                raise BudgetExceededError(
+                    "numeral %s... is above the truth budget of %d" % (tok[:12], TRUTH_CAP)
+                )
             return numeral(int(tok))
         if tok == "S":
             self.next()

@@ -1,20 +1,27 @@
 """Command-line front end: outputs, exit codes, machine format, fixtures."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rcworm
+from conftest import ordinals, rand_delta0, rc_formulas, worms
 from rcworm.cli import CODE_BIT_CAP, main, run_fixture_file
 from rcworm import rc
 from rcworm.ordinal import godel_code
-from rcworm.syntax import parse_formula, parse_ordinal, parse_worm
-from rcworm.truthcore import TRUTH_CAP
+from rcworm.syntax import parse_formula, parse_ordinal, parse_worm, render
+from rcworm.truthcore import TRUTH_CAP, render_formula
+
+CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "known-values.txt"
 
 
 def run(capsys, *argv):
@@ -82,6 +89,44 @@ def test_rc_q_rejects_negative_k(capsys):
             main(["rc", "q", "1", k, "p"])
         assert e.value.code == 2
         assert "expected a natural number" in capsys.readouterr().err
+
+
+def test_fgh_rejects_a_negative_argument(capsys):
+    for x in ("-1", "x"):
+        with pytest.raises(SystemExit) as e:
+            main(["fgh", "w", x])
+        assert e.value.code == 2
+        assert "expected a natural number" in capsys.readouterr().err
+
+
+# The README's certificate, which the model budget of proof_search leaves as it was.
+_README_CERTIFICATE = """true
+0: ax-proj - ; <1>q & <2>p |- <1>q
+1: ax-proj - ; <1>q & <2>p |- <2>p
+2: ax-proj - ; <1>q & <2>p |- <2>p
+3: ax-proj - ; <1>q & <2>p |- <1>q
+4: and-intro 2,3 ; <1>q & <2>p |- <2>p & <1>q
+5: ax-pair - ; <2>p & <1>q |- <2>(p & <1>q)
+6: cut 4,5 ; <1>q & <2>p |- <2>(p & <1>q)
+7: and-intro 0,1,6 ; <1>q & <2>p |- <1>q & <2>p & <2>(p & <1>q)
+8: ax-proj - ; <1>q & <2>p & <2>(p & <1>q) |- <2>(p & <1>q)
+9: ax-refl - ; <2>(p & <1>q) |- <2>(p & <1>q)
+10: cut 8,9 ; <1>q & <2>p & <2>(p & <1>q) |- <2>(p & <1>q)
+11: cut 7,10 ; <1>q & <2>p |- <2>(p & <1>q)"""
+
+
+def test_readme_certificate(capsys):
+    code, out = run(capsys, "rc", "derives", "<2>p & <1>q", "<2>(p & <1>q)", "--certificate")
+    assert (code, out) == (0, _README_CERTIFICATE)
+
+
+def test_certificate_search_ends_within_its_model_budget(capsys):
+    # self-strengthening doubles the left side at every step; the search
+    # used to run for minutes here
+    start = time.perf_counter()
+    code, out = run(capsys, "rc", "derives", "--certificate", "<eps0>r", "<0><1>r")
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out.startswith("error:") and "model-node budget" in out
 
 
 def test_rc_derives_large_finite_index(capsys):
@@ -186,6 +231,18 @@ def test_worm_o_refuses_a_deep_worm_at_once(capsys):
     code, out = run(capsys, "worm", "o", "[%s]" % ",".join(map(str, range(1, 1001))))
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out.startswith("error:")
+
+
+def test_deeply_nested_outputs_render(capsys):
+    worm = "[%s]" % ",".join("w*%d+1" % k for k in range(1, 301))
+    start = time.perf_counter()
+    code, out = run(capsys, "worm", "o", worm)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and out.startswith("eps(w^(eps(w^(") and out.count("(") == out.count(")")
+    start = time.perf_counter()
+    code, out = run(capsys, "rc", "q", "1", "3000", "p")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (0, "<1>(p & " * 3000 + "p" + ")" * 3000)
 
 
 def test_rc_wnf_on_long_worm_literals(capsys):
@@ -312,6 +369,38 @@ def test_parse_error_exits_2(capsys):
     assert code == 2 and "parse error" in out
 
 
+def test_levels_out_of_order_are_a_parse_error(capsys):
+    code, out = run(capsys, "spectrum", "pa-t", "--levels", "1,0")
+    assert code == 2 and out == "parse error: levels must be strictly increasing"
+
+
+@pytest.mark.parametrize("content", [b"not json", b"[0, 1]", b"null", b'{"P": 5}', b'{"P": [0.5]}',
+                                     b'\xff{"P": [0]}'])
+def test_malformed_structure_file_is_a_parse_error(tmp_path, capsys, content):
+    sfile = tmp_path / "m.json"
+    sfile.write_bytes(content)
+    code, out = run(capsys, "truth", "eval", "P(0)", "--structure", str(sfile))
+    assert code == 2 and out.startswith("parse error:")
+
+
+def test_overlong_literals_are_refused(capsys):
+    digits = "9" * 5000  # too long for int() to convert
+    for argv in (["ord", "compare", digits, "1"], ["ord", "compare", "w*" + digits, "1"],
+                 ["truth", "eval", digits + " = 0"]):
+        code, out = run(capsys, *argv)
+        assert code == 1 and out.startswith("error:"), argv
+
+
+def test_an_internal_fault_is_not_reported_as_a_parse_error(capsys, monkeypatch):
+    def fault(f):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(rc, "normalize", fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["rc", "normalize", "p"])
+    assert "parse error" not in capsys.readouterr().out
+
+
 def test_domain_error_exits_1(capsys):
     code, out = run(capsys, "worm", "lower", "1", "[1,0]")
     assert code == 1 and "error" in out
@@ -372,10 +461,8 @@ def test_json_rc_certificate(capsys):
 
 
 def test_fixture_runner_on_seed_corpus(capsys):
-    corpus = str(Path(__file__).resolve().parent.parent / "fixtures" / "known-values.txt")
-    code, out = run(capsys, "fixtures", "run", corpus)
-    assert code == 0
-    assert "0 failed" in out
+    code, out = run(capsys, "fixtures", "run", str(CORPUS))
+    assert (code, out) == (0, "101 passed, 0 failed")
 
 
 def test_fixture_runner_reports_failures(tmp_path, capsys):
@@ -393,3 +480,144 @@ def test_fixture_runner_reports_failures(tmp_path, capsys):
     code, out = run(capsys, "fixtures", "run", str(bad))
     assert code == 1
     assert "2 passed" in out and "2 failed" in out
+
+
+# One check per kind that passes, and the same check with a wrong answer.
+_EVERY_KIND = [
+    ("ord-compare ; w ; eps0", "<", ">"),
+    ("ord-add ; w+1 ; w", "w*2", "w*2+1"),
+    ("ord-phi ; 1 ; 0", "eps0", "w"),
+    ("ord-paper-phi ; 0 ; 1", "w^2", "w"),
+    ("ord-code ; w", "4", "3"),
+    ("worm-o ; [0,1]", "w+1", "w"),
+    ("worm-o-at ; w ; [w*2]", "eps0", "eps(eps0)"),
+    ("worm-cmp-at ; 0 ; [1] ; [1,0]", "=", "<"),
+    ("rc-derives ; <w>p ; <3>p", "true", "false"),
+    ("rc-normalize ; T & p", "p", "T & p"),
+    ("wnf ; <1><0>T & <1><1>T", "[1,1,0]", "[1,1]"),
+    ("ord-at ; pa-t ; w", "eps0", "w"),
+    ("spectrum ; pa-t ; 0,w", "eps(eps0),eps0", "eps0,eps0"),
+    ("pi11 ; aca", "eps(eps0)", "eps0"),
+    ("fgh-class ; pa-t", "eps(eps0)", "eps0"),
+    ("fgh ; 0 ; 2", "17", "16"),
+    ('truth-eval ; P(0) ; {"P": [0]}', "true", "false"),
+    ("classify ; ex x . all y . y <= x", "sigma 2", "pi 2"),
+]
+
+
+def test_fixture_runner_runs_every_kind_through_its_command(tmp_path):
+    lines = []
+    for check, good, bad in _EVERY_KIND:
+        lines += ["%s ; %s" % (check, good), "%s ; %s" % (check, bad)]
+    path = tmp_path / "kinds.txt"
+    path.write_text("\n".join(lines) + "\n")
+    passed, failures = run_fixture_file(str(path))
+    assert passed == len(_EVERY_KIND) == 18
+    assert [lineno for lineno, _, _ in failures] == list(range(2, 37, 2))
+    assert [why for _, _, why in failures] == ["got " + good for _, good, _ in _EVERY_KIND]
+
+
+def test_fixture_runner_compares_printed_text(tmp_path):
+    # the expected field is what the command prints, in canonical form
+    path = tmp_path / "one.txt"
+    path.write_text("worm-o ; [w] ; phi(1,0)\n")
+    assert run_fixture_file(str(path)) == (0, [(1, "worm-o ; [w] ; phi(1,0)", "got eps0")])
+
+
+def test_fixture_runner_goes_on_past_malformed_lines(tmp_path, capsys):
+    path = tmp_path / "malformed.txt"
+    path.write_text(
+        "worm-o ; [w]\n"  # no expected field
+        "fgh ; w ; x ; 1\n"  # x is not a natural: argparse refuses it
+        'truth-eval ; P(0) ; {"P": [0] ; true\n'  # not JSON
+        "worm-o ; [w] ; eps0\n"
+    )
+    passed, failures = run_fixture_file(str(path))
+    assert passed == 1
+    assert [why.split(":")[0] for _, _, why in failures] == [
+        "ParseError", "ParseError", "JSONDecodeError"]
+    assert "worm-o takes 2 fields, got 1" in failures[0][2]
+    assert "expected a natural number" in failures[1][2]
+    assert capsys.readouterr().err == ""
+
+
+def test_fixture_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# caf\u00e9\nworm-o ; [w] ; eps0\n".encode("latin-1"))
+    code, out = run(capsys, "fixtures", "run", str(path))
+    assert code == 2 and out.startswith("parse error:")
+
+
+def test_paths_with_a_nul_are_parse_errors(capsys):
+    for argv in (["fixtures", "run", "a\0b"], ["truth", "eval", "P(0)", "--structure", "a\0b"]):
+        code, out = run(capsys, *argv)
+        assert code == 2 and out.startswith("parse error:"), argv
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_TOKENS = ["w", "phi", "eps", "eps0", "T", "p", "q", "0", "1", "2", "12", "(", ")", "[",
+           "]", ",", "<", ">", "&", "+", "*", "^", "-", "all", "ex", "x", "y", "<=", "=",
+           ".", "S", "exp", "P", "|", "neg", "ω", "ε₀", "⟨", "∧", ":", " "]
+
+_soup = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+                  st.text(max_size=12))
+_ordinal = st.one_of(_soup, ordinals().map(render))
+_worm = st.one_of(_soup, worms().map(render))
+_formula = st.one_of(_soup, rc_formulas(indices=ordinals(max_leaves=3), max_leaves=6).map(render))
+_natural = st.one_of(_soup, st.integers(min_value=0, max_value=40).map(str))
+_theory = st.one_of(_soup, st.tuples(
+    st.sampled_from(["pi01-ca0", "pi01-ca", "pi01-ca0-lim", "pi01-ca-lim", "pa-t", "aca",
+                     "ea-ct-isigma-n"]),
+    st.one_of(st.just(""), ordinals(max_leaves=3).map(lambda a: ":" + render(a))),
+).map("".join))
+_levels = st.one_of(_soup, st.lists(ordinals(max_leaves=3).map(render), max_size=4).map(",".join))
+_sentence = st.one_of(_soup, st.integers(0, 10**6).map(
+    lambda seed: render_formula(rand_delta0(random.Random(seed), 3))))
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just(["ord"]), st.sampled_from(["compare", "add", "phi"]).map(lambda c: [c]),
+              _ordinal, _ordinal, st.sampled_from([[], ["--paper"]])),
+    st.tuples(st.just(["ord"]), st.sampled_from(["cnf", "code"]).map(lambda c: [c]), _ordinal),
+    st.tuples(st.just(["worm", "o"]), _worm),
+    st.tuples(st.sampled_from(["o-at", "lift", "lower"]).map(lambda c: ["worm", c]),
+              _ordinal, _worm),
+    st.tuples(st.just(["worm", "cmp-at"]), _ordinal, _worm, _worm),
+    st.tuples(st.just(["rc", "derives"]), _formula, _formula,
+              st.sampled_from([[], ["--certificate"]])),
+    st.tuples(st.sampled_from(["normalize", "wnf"]).map(lambda c: ["rc", c]), _formula),
+    st.tuples(st.just(["rc", "q"]), _ordinal, _natural, _formula),
+    st.tuples(st.just(["spectrum"]), _theory, st.just("--levels"), _levels),
+    st.tuples(st.just(["ord-analysis"]), _theory),
+    st.tuples(st.just(["fgh"]), _ordinal, _natural),
+    st.tuples(st.sampled_from(["eval", "build-ef", "classify"]).map(lambda c: ["truth", c]),
+              _sentence),
+    st.tuples(st.just(["fixtures", "run"]), st.one_of(_soup, st.just(str(CORPUS)))),
+)
+
+
+def _flatten(parts):
+    argv = []
+    for part in parts:
+        argv += part if isinstance(part, list) else [part]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_COMMANDS.map(_flatten), st.booleans())
+def test_main_fuzz_exits_0_1_or_2_in_time(argv, as_json):
+    if as_json:
+        argv.append("--json")
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage error
+            code = e.code
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 1, 2), argv
+    if as_json and out.getvalue():
+        payload = json.loads(out.getvalue())
+        assert set(payload) - {"error"} == {"command", "ok", "result"}, argv
+        assert payload["ok"] is (code == 0)
