@@ -51,8 +51,19 @@ _ALIASES = (
 )
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^(),\[\]<>&])")
+# A character that no _TOKEN token can hold.  The first one in a text is
+# refused before any parsing, as a whole-text tokenizer would, whatever error
+# comes before it.
+_STRAY = re.compile(r"[^\s\dA-Za-z_\-+*^(),\[\]<>&]")
 
 _KEYWORDS = {"w", "phi", "eps", "eps0", "T"}
+
+# Index text (what stands between a diamond's "<" and the next ">") -> its
+# ordinal.  Notations are immutable and hash-consed, so an entry is the very
+# object a fresh parse builds; only an index parse that ended at that ">" is
+# stored, so every error still comes from a fresh parse.  Cleared when full.
+_INDEX = {}
+_INDEX_CAP = 4096
 
 
 def _normalize_input(text):
@@ -60,22 +71,6 @@ def _normalize_input(text):
         if src in text:
             text = text.replace(src, dst)
     return text
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError("unexpected character %r" % stripped[0], len(text) - len(stripped))
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.append((None, len(text)))  # end marker
-    return tokens
 
 
 def _decimal(tok):
@@ -87,21 +82,37 @@ def _decimal(tok):
 
 
 class _Parser:
+    """Recursive descent over a one-token lookahead: tok is the next token
+    (None at the end), at its position, end where scanning resumes."""
+
     def __init__(self, text):
         self.text = _normalize_input(text)
-        self.tokens = _tokenize(self.text)
-        self.i = 0
+        stray = _STRAY.search(self.text)
+        if stray is not None:
+            raise ParseError("unexpected character %r" % stray.group(), stray.start())
+        self.scan(0)
+
+    def scan(self, pos):
+        """Read the token at or after pos into the lookahead."""
+        m = _TOKEN.match(self.text, pos)
+        if m is None:  # only blanks are left
+            self.tok = None
+            self.at = self.end = len(self.text)
+        else:
+            self.tok = m.group(1)
+            self.at = m.start(1)
+            self.end = m.end()
 
     def peek(self):
-        return self.tokens[self.i][0]
+        return self.tok
 
     def pos(self):
-        return self.tokens[self.i][1]
+        return self.at
 
     def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok[0]
+        tok = self.tok
+        self.scan(self.end)
+        return tok
 
     def expect(self, tok):
         if self.peek() != tok:
@@ -219,12 +230,33 @@ class _Parser:
         return And(flat)
 
     def formula_unary(self):
+        indices = []  # a run of diamonds, built inside out without recursing
+        while self.peek() == "<":
+            indices.append(self.diamond_index())
+        f = self.formula_atom()
+        for index in reversed(indices):
+            f = Diam(index, f)
+        return f
+
+    def diamond_index(self):
+        """The ordinal of "<a>", through _INDEX; the lookahead moves past ">"."""
+        close = self.text.find(">", self.end)
+        key = self.text[self.end:close] if close >= 0 else None
+        index = _INDEX.get(key)
+        if index is not None:
+            self.scan(close + 1)
+            return index
+        self.next()
+        index = self.ordinal()
+        if self.peek() == ">":  # the one at close: an ordinal holds no ">"
+            if len(_INDEX) >= _INDEX_CAP:
+                _INDEX.clear()
+            _INDEX[key] = index
+        self.expect(">")
+        return index
+
+    def formula_atom(self):
         tok = self.peek()
-        if tok == "<":
-            self.next()
-            index = self.ordinal()
-            self.expect(">")
-            return Diam(index, self.formula_unary())
         if tok == "(":
             self.next()
             f = self.formula()

@@ -255,6 +255,14 @@ def test_rc_wnf_on_long_worm_literals(capsys):
         assert (code, out) == (0, worm)  # [1] & W is W when W starts with 1
 
 
+def test_rc_wnf_on_a_long_run_of_diamonds(capsys):
+    # the parser builds a run of diamonds inside out, without recursing
+    start = time.perf_counter()
+    code, out = run(capsys, "rc", "wnf", "<1>" * 3000 + "T")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (0, "[%s]" % ",".join(["1"] * 3000))
+
+
 def test_rc_wnf_large_finite_index_is_fast(capsys):
     start = time.perf_counter()
     assert run(capsys, "rc", "wnf", "<26>T") == (0, "[26]")

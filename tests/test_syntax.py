@@ -1,27 +1,36 @@
 """Parsing and rendering for ordinals, sequences and modal formulas."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from conftest import SMALL_ORDINALS, ordinals, rand_formula, rand_ordinal, rand_worm, rc_formulas, worms
-from rcworm import rc
-from rcworm.errors import OrdinalOverflowError
+from rcworm import rc, syntax
+from rcworm.errors import DomainError, OrdinalOverflowError
 from rcworm.ordinal import (
     EPS0,
     MAX_SUMMANDS,
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
     add,
     from_int,
     omega_power,
     phi,
     to_int,
 )
-from rcworm.syntax import ParseError, parse_formula, parse_ordinal, parse_worm, render
+from rcworm.syntax import (
+    ParseError,
+    parse_formula,
+    parse_ordinal,
+    parse_ordinals,
+    parse_worm,
+    render,
+)
 from rcworm.worm import Worm
 
 
@@ -81,7 +90,7 @@ def test_parse_formula_forms():
     assert parse_formula("[1, 0]") == rc.Diam(ONE, rc.Diam(ZERO, rc.TOP))
 
 
-def test_parse_errors_carry_positions():
+def test_parse_errors_carry_positions(monkeypatch):
     with pytest.raises(ParseError) as e:
         parse_ordinal("w + + 1")
     assert e.value.position == 4
@@ -95,6 +104,64 @@ def test_parse_errors_carry_positions():
         parse_formula("p & ")
     with pytest.raises(ParseError):
         parse_ordinal("w + 1 junk")
+    # malformed diamond indices, on a cold index cache and on a warm one
+    spots = {
+        "<w+>p": ("expected an ordinal term", 3),
+        "<1 2>p": ("expected '>'", 3),
+        "<1<2>p": ("expected '>'", 2),
+        "<>p": ("expected an ordinal term", 1),
+    }
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    for warm in (False, True):
+        if warm:
+            parse_formula("<w+1>p & <1>p & <2>p")
+            assert len(syntax._INDEX) == 3
+        for text, (message, position) in spots.items():
+            with pytest.raises(ParseError) as e:
+                parse_formula(text)
+            assert e.value.position == position, text
+            assert str(e.value) == "%s (at position %d)" % (message, position), text
+
+
+# ------------------------------------------------------------ index text cache
+
+
+def test_index_cache_builds_each_index_once(monkeypatch):
+    calls = []
+    real = syntax._Parser.ordinal
+
+    def counting(self):
+        calls.append(self.pos())
+        return real(self)
+
+    monkeypatch.setattr(syntax._Parser, "ordinal", counting)
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    texts = ["1", "w", "w+1", "w^2*3", "eps0"]  # none parses a nested ordinal
+    text = " & ".join("<%s><%s>p" % (texts[i % 5], texts[(i * 3) % 5]) for i in range(50))
+    f = parse_formula(text)
+    diamonds = [d for c in f.conjuncts for d in (c, c.body)]
+    assert len(diamonds) == 100 and all(d.__class__ is rc.Diam for d in diamonds)
+    assert len(calls) <= 5
+    assert sorted(syntax._INDEX) == sorted(texts)
+    calls.clear()
+    assert parse_formula(text) == f
+    assert calls == []
+
+
+def test_malformed_index_leaves_no_entry(monkeypatch):
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    for text in ("<w+>p", "<1 2>p", "<1", "<1<2>p", "<>p", "<w*99999999>p"):
+        with pytest.raises((ParseError, DomainError)):
+            parse_formula(text)
+        assert syntax._INDEX == {}, text
+
+
+def test_index_cache_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    cap = syntax._INDEX_CAP
+    for k in range(cap + 100):  # cap + 100 distinct texts, each reading 1
+        assert parse_formula("<%s1>p" % (" " * k)).index is ONE
+        assert 0 < len(syntax._INDEX) <= cap
 
 
 def test_render_spot_values():
@@ -195,13 +262,18 @@ def _parsed(text):
     return out
 
 
-def test_render_matches_the_recursive_reference():
+def _corpus_texts():
+    """The README values and every field of the fixture corpus."""
     corpus = Path(__file__).resolve().parent.parent / "fixtures" / "known-values.txt"
     texts = list(_README_VALUES)
     for line in corpus.read_text().splitlines():
         if line.strip() and not line.startswith("#"):
             texts += [field.strip() for field in line.split(";")[1:]]
-    objects = [x for text in texts for x in _parsed(text)]
+    return texts
+
+
+def test_render_matches_the_recursive_reference():
+    objects = [x for text in _corpus_texts() for x in _parsed(text)]
     assert len(objects) > 150
     rng = random.Random(4217)
     indices = SMALL_ORDINALS + [rand_ordinal(rng, 3) for _ in range(20)]
@@ -225,6 +297,291 @@ def test_render_deep_nesting():
     for _ in range(3000):
         f = rc.Diam(ONE, rc.conj((rc.Var("p"), f)))
     assert render(f) == "<1>(p & " * 2999 + "<1>p" + ")" * 2999
+
+
+# ------------------------------------------- tokenizer-based reference parser
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = syntax._TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError("unexpected character %r" % stripped[0], len(text) - len(stripped))
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    tokens.append((None, len(text)))  # end marker
+    return tokens
+
+
+class _RefParser:
+    """The parser as it was before the one-token scanner: the whole text is
+    tokenized up front, and every diamond index is parsed afresh."""
+
+    def __init__(self, text):
+        self.text = syntax._normalize_input(text)
+        self.tokens = _ref_tokenize(self.text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def pos(self):
+        return self.tokens[self.i][1]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok[0]
+
+    def expect(self, tok):
+        if self.peek() != tok:
+            raise ParseError("expected %r" % tok, self.pos())
+        return self.next()
+
+    def done(self):
+        if self.peek() is not None:
+            raise ParseError("trailing input %r" % self.peek(), self.pos())
+
+    def ordinal(self):
+        total = self.ord_term()
+        while self.peek() == "+":
+            self.next()
+            total = add(total, self.ord_term())
+        return total
+
+    def ord_term(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("expected an ordinal", self.pos())
+        if tok.isdigit():
+            self.next()
+            return from_int(syntax._decimal(tok))
+        base = self.ord_base()
+        if self.peek() == "*":
+            self.next()
+            count = self.peek()
+            if count is None or not count.isdigit():
+                raise ParseError("expected a count after '*'", self.pos())
+            self.next()
+            return Ordinal(base.terms * syntax._decimal(count))
+        return base
+
+    def ord_base(self):
+        tok = self.peek()
+        if tok == "w":
+            self.next()
+            if self.peek() == "^":
+                self.next()
+                return omega_power(self.ord_atom())
+            return omega_power(ONE)
+        if tok == "phi":
+            self.next()
+            self.expect("(")
+            a = self.ordinal()
+            self.expect(",")
+            b = self.ordinal()
+            self.expect(")")
+            return phi(a, b)
+        if tok == "eps0":
+            self.next()
+            return phi(ONE, ZERO)
+        if tok == "eps":
+            self.next()
+            self.expect("(")
+            a = self.ordinal()
+            self.expect(")")
+            return phi(ONE, a)
+        raise ParseError("expected an ordinal term", self.pos())
+
+    def ord_atom(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("expected an exponent", self.pos())
+        if tok.isdigit():
+            self.next()
+            return from_int(syntax._decimal(tok))
+        if tok == "(":
+            self.next()
+            a = self.ordinal()
+            self.expect(")")
+            return a
+        if tok in ("w", "phi", "eps", "eps0"):
+            return self.ord_base()
+        raise ParseError("expected an exponent", self.pos())
+
+    def ordinals(self, end):
+        out = [] if self.peek() == end else [self.ordinal()]
+        while out and self.peek() == ",":
+            self.next()
+            out.append(self.ordinal())
+        return out
+
+    def worm(self):
+        self.expect("[")
+        letters = self.ordinals("]")
+        self.expect("]")
+        return Worm(letters)
+
+    def formula(self):
+        parts = [self.formula_unary()]
+        while self.peek() == "&":
+            self.next()
+            parts.append(self.formula_unary())
+        if len(parts) == 1:
+            return parts[0]
+        flat = []
+        for p in parts:
+            if isinstance(p, rc.And):
+                flat.extend(p.conjuncts)
+            elif p is not rc.TOP:
+                flat.append(p)
+        if not flat:
+            return rc.TOP
+        if len(flat) == 1:
+            return flat[0]
+        return rc.And(flat)
+
+    def formula_unary(self):
+        tok = self.peek()
+        if tok == "<":
+            self.next()
+            index = self.ordinal()
+            self.expect(">")
+            return rc.Diam(index, self.formula_unary())
+        if tok == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if tok == "[":
+            return rc.worm_formula(self.worm())
+        if tok == "T":
+            self.next()
+            return rc.TOP
+        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in syntax._KEYWORDS:
+            self.next()
+            return rc.Var(tok)
+        raise ParseError("expected a formula", self.pos())
+
+
+def _ref_rule(rule):
+    def parse(text):
+        p = _RefParser(text)
+        x = rule(p)
+        p.done()
+        return x
+    return parse
+
+
+_PARSE_PAIRS = {
+    "ordinal": (parse_ordinal, _ref_rule(_RefParser.ordinal)),
+    "ordinals": (parse_ordinals, _ref_rule(lambda p: p.ordinals(None))),
+    "worm": (parse_worm, _ref_rule(_RefParser.worm)),
+    "formula": (parse_formula, _ref_rule(_RefParser.formula)),
+}
+
+
+def _outcome(parse, text):
+    """("ok", result), or the refusal's type, message and position."""
+    try:
+        return "ok", parse(text)
+    except ParseError as e:
+        return "ParseError", str(e), e.position
+    except DomainError as e:
+        return type(e).__name__, str(e)
+
+
+def _ordinals_in(x):
+    """Every ordinal in a parse result, outermost first, without recursing."""
+    out = []
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Ordinal):
+            out.append(x)
+        elif isinstance(x, (list, tuple)):
+            stack += reversed(x)
+        elif isinstance(x, Worm):
+            stack += reversed(x.letters)
+        elif isinstance(x, rc.Diam):
+            stack += (x.body, x.index)
+        elif isinstance(x, rc.And):
+            stack += reversed(x.conjuncts)
+    return out
+
+
+def _assert_same_parse(kind, text, runs=1):
+    parse, reference = _PARSE_PAIRS[kind]
+    want = _outcome(reference, text)
+    for _ in range(runs):
+        got = _outcome(parse, text)
+        assert got == want, (kind, text)
+        if want[0] != "ok":
+            continue  # a refusal: message and position already compared
+        left, right = _ordinals_in(got[1]), _ordinals_in(want[1])
+        assert len(left) == len(right) and all(a is b for a, b in zip(left, right)), (kind, text)
+    return want
+
+
+_INDEX_TEXTS = [
+    "0", "1", " 2 ", "w", "w+1", " w + 1 ", "ω+1", "ω ^ 2*3 + ω", "eps0", "ε0", "ε₀",
+    "phi(2, w)", "φ(1,0)", "w^(w+1)", "eps(1) + 4", "w*2", " w^w ", "phi( 0 , eps0 )",
+]
+
+
+def _rand_formula_text(rng, size):
+    """Formula text over a small pool of index texts, so indices repeat."""
+    if size <= 1:
+        return rng.choice(["p", "q", "T", "[1, w]", "( p )", "[]"])
+    if rng.random() < 0.6:
+        left, right = rng.choice([("<", ">"), ("⟨", "⟩"), ("< ", ">"), ("<", " >")])
+        return left + rng.choice(_INDEX_TEXTS) + right + _rand_formula_text(rng, size - 1)
+    k = rng.randrange(1, size)
+    pattern = rng.choice(["%s & %s", "(%s) & %s", "%s∧%s", "(%s & %s)"])
+    return pattern % (_rand_formula_text(rng, k), _rand_formula_text(rng, size - k))
+
+
+_MUTATION_CHARS = "<>()[]&+*^,0 1w2ep$?é⟨"
+
+
+def _mutations(rng, text, count):
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 1 / 3 and i < len(text):
+            out.append(text[:i] + text[i + 1:])
+        elif roll < 2 / 3 and i < len(text):
+            out.append(text[:i] + rng.choice(_MUTATION_CHARS) + text[i + 1:])
+        else:
+            out.append(text[:i] + rng.choice(_MUTATION_CHARS) + text[i:])
+    return out
+
+
+def test_parse_matches_the_tokenizer_reference(monkeypatch):
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    rng = random.Random(5113)
+    corpus = [(kind, text) for text in _corpus_texts() for kind in _PARSE_PAIRS]
+    for _ in range(400):
+        corpus.append(("formula", _rand_formula_text(rng, rng.randrange(1, 30))))
+    indices = SMALL_ORDINALS[:6] + [rand_ordinal(rng, 2) for _ in range(4)]
+    for _ in range(200):
+        corpus.append(("formula", render(rand_formula(rng, rng.randrange(1, 30), indices))))
+    answers = [_assert_same_parse(kind, text) for kind, text in corpus]
+    assert sum(a[0] == "ok" and isinstance(a[1], rc.RcFormula) for a in answers) > 600
+    refusals = set()
+    for kind, text in corpus:
+        for mutant in _mutations(rng, text, 3):
+            want = _assert_same_parse(kind, mutant, runs=2)
+            if want[0] == "ParseError":
+                refusals.add(re.sub(r" '.*| \(at position \d+\)$", "", want[1]))
+    assert {"unexpected character", "expected", "expected an ordinal term",
+            "expected a formula", "trailing input"} <= refusals, refusals
 
 
 @given(ordinals())
