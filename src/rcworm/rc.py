@@ -8,9 +8,10 @@ diamond occurrence, and the accessibility relations are closed under
   * transitivity       x R_a y and y R_a z        =>  x R_a z
   * the pairing law    x R_a y and x R_b z, b < a =>  y R_b z   (y = z allowed)
 
-The per-edge index set is always downward closed, so an edge carries just a
-bound and an inclusive flag; the strict flag is canonicalized away at
-successor bounds.  The right formula is then model-checked at the root.
+The closure runs over the distinct indices of both formulas, ranked 1..k in
+ordinal order (derives states why nothing is lost).  Each edge's index set
+is downward closed, so an edge carries one rank and admits the indices of
+rank up to it.  The right formula is then model-checked at the root.
 
 proof_search produces independently checkable certificates built from the
 six primitive rules; a returned derivation is always locally valid, while
@@ -29,15 +30,7 @@ from functools import cmp_to_key
 from itertools import cycle
 
 from .errors import BudgetExceededError, NotVariableFreeError, SearchExhaustedError
-from .ordinal import (
-    ZERO,
-    Ordinal,
-    compare,
-    godel_code,
-    is_limit,
-    is_successor,
-    predecessor,
-)
+from .ordinal import ZERO, Ordinal, compare, godel_code
 from .worm import MAX_DISTINCT_LETTERS, Worm, compare_at, order_type
 
 
@@ -191,58 +184,29 @@ def build_q(beta, k, f):
     return out
 
 
-# ------------------------------------------------- edge strengths (index sets)
-
-# A strength (sigma, inclusive) denotes the downward closed index set
-# {b : b < sigma} or {b : b <= sigma}.  Canonical form keeps the strict
-# flag only at limit bounds; (sigma+1, strict) is rewritten to (sigma, incl).
-
-
-def _s_contains(s, alpha):
-    sigma, incl = s
-    c = compare(alpha, sigma)
-    return c < 0 or (c == 0 and incl)
-
-
-def _s_cmp(s1, s2):
-    # inclusion test; strengths are nested so this is a linear order
-    c = compare(s1[0], s2[0])
-    if c != 0:
-        return c
-    return (s1[1] > s2[1]) - (s1[1] < s2[1])
-
-
-def _s_below(s):
-    """Strictly-below set {b : exists a in s, b < a}, or None when empty."""
-    sigma, incl = s
-    if incl:
-        if sigma.is_zero():
-            return None
-        if is_successor(sigma):
-            return (predecessor(sigma), True)
-        return (sigma, False)
-    return s  # canonical strict strengths have limit bounds
-
-
 # ---------------------------------------------------------------- the model
 
 
 class RcModel:
-    """Finite frame: labelled nodes, edges carrying index-set strengths.
+    """Finite frame over the ranked indices of a sequent.
 
-    The closed rank matrix is the only edge store: matrix[x, y] is the rank
-    in `strengths` of the edge x -> y, 0 when there is none.  `strengths` is
-    the sorted table of every distinct strength the closure produced.  Rank
-    order agrees with set inclusion, so "this edge admits index a" is one
-    integer comparison against the smallest rank whose set contains a.
+    The distinct indices the model was built over are ranked 1..k in
+    ordinal order; `strengths` lists them by rank, so strengths[r] is the
+    top index an edge of rank r admits ([0] unused).  The closed rank matrix
+    is the only edge store: matrix[x, y] is the rank of the edge x -> y, 0
+    when there is none, and the edge admits exactly the indices of rank at
+    most matrix[x, y].  `formula` is the left side the nodes were seeded
+    from; a question about an index the model did not rank rebuilds the
+    model from it with that index added.
     """
 
-    __slots__ = ("labels", "matrix", "strengths", "root")
+    __slots__ = ("labels", "matrix", "rank", "formula", "root")
 
-    def __init__(self, labels, matrix, strengths):
-        self.labels = labels         # list of frozensets of variable names
-        self.matrix = matrix         # n x n numpy array of strength ranks
-        self.strengths = strengths   # rank -> (bound, inclusive); [0] unused
+    def __init__(self, labels, matrix, rank, formula):
+        self.labels = labels    # list of frozensets of variable names
+        self.matrix = matrix    # n x n numpy array of edge ranks
+        self.rank = rank        # ranked index -> its rank, 1..k
+        self.formula = formula
         self.root = 0
 
     @property
@@ -250,8 +214,13 @@ class RcModel:
         return range(len(self.labels))
 
     @property
+    def strengths(self):
+        """The ranked indices in rank order, after an unused [0]."""
+        return [None] + sorted(self.rank, key=self.rank.__getitem__)
+
+    @property
     def edges(self):
-        """Rows of the matrix as dicts, node -> {node: strength rank}."""
+        """Rows of the matrix as dicts, node -> {node: edge rank}."""
         import numpy as np
 
         out = []
@@ -260,112 +229,87 @@ class RcModel:
             out.append(dict(zip(ys.tolist(), row[ys].tolist())))
         return out
 
-    def admission_rank(self, alpha):
-        """Smallest rank whose strength contains alpha; len(strengths) if none."""
-        lo, hi = 1, len(self.strengths)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _s_contains(self.strengths[mid], alpha):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def related(self, x, alpha, y):
-        return bool(self.matrix[x, y] >= self.admission_rank(alpha))
+        r = self.rank.get(alpha)
+        if r is None:
+            return build_minimal_model(self.formula, Diam(alpha, TOP)).related(x, alpha, y)
+        return bool(self.matrix[x, y] >= r)
 
 
-def build_minimal_model(f):
-    """Closure model of f: one node per diamond occurrence plus the root.
+def _parts(f):
+    return f.conjuncts if isinstance(f, And) else (f,)
+
+
+def _indices(f):
+    """The diamond indices of f in preorder, repeats kept."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Diam):
+            out.append(g.index)
+            todo.append(g.body)
+        elif isinstance(g, And):
+            todo += reversed(g.conjuncts)
+    return out
+
+
+def build_minimal_model(f, g=TOP):
+    """Closure model of f: one node per diamond occurrence plus the root,
+    closed over the distinct indices of f and g ranked together (_close).
 
     A diamond equal to a sibling already seeded at the same node adds no
     node, so duplicate conjuncts cost nothing; conjunct order does not change
-    the closure.
+    the closure.  Nodes are numbered in preorder, from an explicit stack.
     """
     labels = [set()]
-    edges = [dict()]
     seeded = [[]]  # node -> the diamonds seeded under it
-
-    def seed(node, g):
-        parts = g.conjuncts if isinstance(g, And) else (g,)
-        for p in parts:
-            if isinstance(p, Var):
-                labels[node].add(p.name)
-            elif isinstance(p, Diam):
-                if p in seeded[node]:
-                    continue
-                seeded[node].append(p)
-                child = len(labels)
-                labels.append(set())
-                edges.append(dict())
-                seeded.append([])
-                edges[node][child] = (p.index, True)
-                seed(child, p.body)
-            elif isinstance(p, And):
-                seed(node, p)  # nested And from un-normalized input
-
-    seed(0, f)
-    matrix, strengths = _close(edges)
-    return RcModel([frozenset(s) for s in labels], matrix, strengths)
+    edges = []     # (parent, child, index)
+    todo = [(0, iter(_parts(f)))]
+    while todo:
+        node, rest = todo[-1]
+        p = next(rest, None)
+        if p is None:
+            todo.pop()
+        elif isinstance(p, Var):
+            labels[node].add(p.name)
+        elif isinstance(p, Diam) and p not in seeded[node]:
+            seeded[node].append(p)
+            edges.append((node, len(labels), p.index))
+            todo.append((len(labels), iter(_parts(p.body))))
+            labels.append(set())
+            seeded.append([])
+        elif isinstance(p, And):
+            todo.append((node, iter(p.conjuncts)))  # nested And from un-normalized input
+    rank = _ranks([a for _, _, a in edges] + _indices(g))
+    matrix = _close(len(labels), [(x, y, rank[a]) for x, y, a in edges], len(rank))
+    return RcModel([frozenset(s) for s in labels], matrix, rank, f)
 
 
-def _strength_table(edges):
-    """Every strength the closure can reach, sorted by inclusion; [0] unused.
+def _close(n, seeds, k):
+    """Least fixpoint of the frame conditions on n nodes, over ranks 1..k.
 
-    Meets pick one of their arguments and strictly-below chains terminate
-    (each step drops the bound), so seeding with the syntactic strengths and
-    closing under strictly-below covers everything the rules can produce.
-    """
-    seen = set()
-    stack = []
-    for row in edges:
-        for s in row.values():
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    while stack:
-        b = _s_below(stack.pop())
-        if b is not None and b not in seen:
-            seen.add(b)
-            stack.append(b)
-    return [None] + sorted(seen, key=cmp_to_key(_s_cmp))
-
-
-def _close(edges):
-    """Least fixpoint of the frame conditions, on interned strengths.
-
-    Strengths are linearly ordered by inclusion, so each is replaced by its
-    rank in the sorted table and the closure runs on machine integers: meet
-    is min, inclusion is <=, strictly-below is a table lookup.  The rank
-    dtype is the smallest unsigned type that holds len(table), so it cannot
-    overflow.  Rows live in one dense matrix m (0 = no edge), and each row x
-    is closed by two whole-matrix (max, min) products over all y at once:
+    seeds are (x, y, r) edges.  An edge of rank r stands for the index set
+    of ranks 1..r, so meet is min, inclusion is <=, and strictly-below is
+    r - 1.  The rank dtype is the smallest unsigned type that holds k, so it
+    cannot overflow.  Rows live in one dense matrix m (0 = no edge), and each
+    row x is closed by two whole-matrix (max, min) products over all y at once:
 
       transitivity   row(x) := max(row(x), max_y min(m[x,y], row(y)))
-      pairing        row(y) := max(row(y), min(below(m[x,y]), row(x)))
+      pairing        row(y) := max(row(y), min(m[x,y] - 1, row(x)))
 
     (the y = y column of the pairing rewrite is the reflexive self-loop).
     Passes alternate bottom-up and top-down, which keeps their number small
     on deep models, and stop after the first pass that leaves the matrix sum
     unchanged.  Updates only raise ranks, so such a pass changed no entry:
     every row's rules held in one unchanging state, which is the fixpoint.
-    Returns the closed matrix and the strength table.
     """
     import numpy as np
 
-    table = _strength_table(edges)
-    rank = {s: r for r, s in enumerate(table) if r > 0}
-    dtype = np.min_scalar_type(len(table))
-    below = np.zeros(len(table), dtype=dtype)
-    for r in range(1, len(table)):
-        b = _s_below(table[r])
-        below[r] = 0 if b is None else rank[b]
-
-    n = len(edges)
+    dtype = np.min_scalar_type(k)
+    below = (np.maximum(np.arange(k + 1), 1) - 1).astype(dtype)
     m = np.zeros((n, n), dtype=dtype)
-    for x, row in enumerate(edges):
-        for y, s in row.items():
-            m[x, y] = rank[s]
+    for x, y, r in seeds:
+        m[x, y] = r
 
     total = int(m.sum(dtype=np.int64))
     for sweep in cycle((range(n - 1, -1, -1), range(n))):
@@ -375,54 +319,82 @@ def _close(edges):
             np.maximum(m, np.minimum(below[row][:, None], row), out=m)
         fresh = int(m.sum(dtype=np.int64))
         if fresh == total:
-            return m, table
+            return m
         total = fresh
 
 
 def model_check(model, node, f):
     """Whether f holds at `node` of the model.
 
-    Each distinct subformula object of f is evaluated once, as a boolean
-    vector over all nodes: TOP holds everywhere, a variable where it labels
-    the node, a conjunction where every conjunct holds, and <a>B at x when
-    some edge x -> y admits a (its rank reaches admission_rank(a)) and B
-    holds at y.
+    Each distinct subformula object of f is evaluated once, after its parts
+    and from an explicit stack, as a boolean vector over all nodes: TOP holds
+    everywhere, a variable where it labels the node, a conjunction where
+    every conjunct holds, and <a>B at x when some edge x -> y admits a (its
+    rank reaches a's) and B holds at y.  An index the model did not rank
+    rebuilds it once, over the indices of f as well.
     """
     import numpy as np
 
-    m = model.matrix
+    m, rank = model.matrix, model.rank
     n = len(model.labels)
     memo = {}
     labelled = {}
-    admit = {}
-
-    def sat(g):
-        hit = memo.get(id(g))
-        if hit is None:
-            if isinstance(g, _Top):
-                hit = np.ones(n, dtype=bool)
-            elif isinstance(g, Var):
-                hit = labelled.get(g.name)
-                if hit is None:
-                    hit = labelled[g.name] = np.fromiter(
-                        (g.name in ls for ls in model.labels), dtype=bool, count=n
-                    )
-            elif isinstance(g, And):
-                hit = np.logical_and.reduce([sat(c) for c in g.conjuncts])
-            else:
-                t = admit.get(g.index)
-                if t is None:
-                    t = admit[g.index] = model.admission_rank(g.index)
-                hit = (m[:, sat(g.body)] >= t).any(axis=1)
-            memo[id(g)] = hit
-        return hit
-
-    return bool(sat(f)[node])
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if id(g) in memo:
+            todo.pop()
+            continue
+        parts = (g.body,) if isinstance(g, Diam) else g.conjuncts if isinstance(g, And) else ()
+        fresh = [c for c in parts if id(c) not in memo]
+        if fresh:
+            todo += fresh
+            continue
+        todo.pop()
+        if isinstance(g, _Top):
+            hit = np.ones(n, dtype=bool)
+        elif isinstance(g, Var):
+            hit = labelled.get(g.name)
+            if hit is None:
+                hit = labelled[g.name] = np.fromiter(
+                    (g.name in ls for ls in model.labels), dtype=bool, count=n
+                )
+        elif isinstance(g, And):
+            hit = np.logical_and.reduce([memo[id(c)] for c in parts])
+        else:
+            r = rank.get(g.index)
+            if r is None:
+                return model_check(build_minimal_model(model.formula, f), node, f)
+            hit = (m[:, memo[id(g.body)]] >= r).any(axis=1)
+        memo[id(g)] = hit
+    return bool(memo[id(f)][node])
 
 
 def derives(f, g):
-    """True when f proves g."""
-    return model_check(build_minimal_model(f), 0, g)
+    """True when f proves g: g holds at the root of the closure model of f.
+
+    The model is closed over J, the distinct indices of f and g, ranked
+    1..k, not over all ordinals.  This loses nothing.  Lemma: let R be the
+    least family of relations R_a, one per ordinal a, that contains the
+    seeded edges (all indexed in J) and obeys the three frame conditions,
+    and R' the least such family over J alone.  Then R_j = R'_j for every
+    j in J.  Proof.  R restricted to J obeys the conditions over J and holds
+    the seeds, so R' is inside it.  Conversely, extend R' to all ordinals:
+    an a outside J gets T_j, the least transitive relation containing R'_j
+    that is also Euclidean (x T y and x T z give y T z), where j is the least
+    element of J above a (no such j: the empty relation).  For b < j in J
+    the relation {(x, y) : x R'_b y and R'_b(x) is inside R'_b(y)} contains
+    R'_j (pairing), and is transitive and Euclidean, so it contains T_j.
+    That gives downward closure from a gap to b and pairing from a gap onto
+    b; pairing onto a gap level follows from the Euclidean law, since every
+    edge above the gap lies in R'_j, inside T_j.  So the extension obeys the
+    conditions over all ordinals and holds the seeds; R lies inside it, and
+    R_j is inside R'_j.  As g asks only about indices in J, both closures
+    give the same answer.  The same argument shows derivability depends only
+    on the order type of the indices (Dashkov, Math. Notes 91, 2012;
+    Beklemishev, "Calibrating provability logic", AiML 9, 2012).
+    """
+    return model_check(build_minimal_model(f, g), 0, g)
 
 
 # ------------------------------------------------------------- derivations
@@ -586,11 +558,14 @@ def proof_search(f, g, max_depth=24):
 
     Every subgoal is first vetted against the closure-model decision procedure,
     so underivable branches die immediately and only true sequents are explored.
-    The certificate that comes back never depends on that vetting; it checks on
-    its own via check_derivation.
+    Every subgoal's indices come from f and g, so each vetting model is built
+    over the indices of both and never needs a rebuild.  The certificate that
+    comes back never depends on that vetting; it checks on its own via
+    check_derivation.
     """
     f = normalize(f)
     g = normalize(g)
+    scope = conj((f, g))
     proven = {}
     failed = {}
     models = {}
@@ -603,23 +578,14 @@ def proof_search(f, g, max_depth=24):
         if hit is None:
             m = models.get(key[0])
             if m is None:
-                spent += len(indices_of(lhs, []))
+                spent += len(_indices(lhs))
                 if spent > SEARCH_MODEL_NODES:
                     raise SearchExhaustedError
-                m = build_minimal_model(lhs)
+                m = build_minimal_model(lhs, scope)
                 models[key[0]] = m
             hit = model_check(m, 0, rhs)
             sem[key] = hit
         return hit
-
-    def indices_of(h, acc):
-        if isinstance(h, Diam):
-            acc.append(h.index)
-            indices_of(h.body, acc)
-        elif isinstance(h, And):
-            for c in h.conjuncts:
-                indices_of(c, acc)
-        return acc
 
     def search(lhs, rhs, depth):
         key = (formula_key(lhs), formula_key(rhs))
@@ -698,7 +664,7 @@ def proof_search(f, g, max_depth=24):
         # self-strengthening: <a>X |- <a>(X & <b>X) for b < a from the goal's indexes
         cands = []
         seen = set()
-        for b in indices_of(rhs, []):
+        for b in _indices(rhs):
             if compare(b, lhs.index) < 0 and b not in seen:
                 seen.add(b)
                 cands.append(b)
@@ -803,9 +769,9 @@ def merge_words(a, b):
 
 
 def _ranks(letters):
-    """Each distinct letter -> its place in the ordinal order (notations are
-    interned, so equal letters are one key)."""
-    return {x: i for i, x in enumerate(sorted(set(letters), key=cmp_to_key(compare)))}
+    """Each distinct letter -> its place 1, 2, ... in the ordinal order
+    (notations are interned, so equal letters are one key)."""
+    return {x: i for i, x in enumerate(sorted(set(letters), key=cmp_to_key(compare)), 1)}
 
 
 def _merge(a, b, rank):

@@ -130,7 +130,17 @@ def test_certificate_search_ends_within_its_model_budget(capsys):
 
 
 def test_rc_derives_large_finite_index(capsys):
-    assert run(capsys, "rc", "derives", "<28>T & <1>T", "<1>T") == (0, "true")
+    for lhs in ("<28>T & <1>T", "<1000>T & <1>T"):
+        assert run(capsys, "rc", "derives", lhs, "<1>T") == (0, "true")
+
+
+def test_rc_derives_on_a_long_run_of_diamonds(capsys):
+    # neither the model's seeding nor its check recurses per diamond
+    run_ = "<1>" * 1000 + "T"
+    for lhs, rhs, want in ((run_, "<1>T", "true"), ("<1>T", run_, "false")):
+        start = time.perf_counter()
+        assert run(capsys, "rc", "derives", lhs, rhs) == (0, want)
+        assert time.perf_counter() - start < 5.0
 
 
 def test_spectrum_and_analysis(capsys):

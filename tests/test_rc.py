@@ -10,7 +10,10 @@ scratch) and the timing gates.
 
 import random
 import statistics
+import sys
 import time
+from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +21,14 @@ from hypothesis import given, settings
 from conftest import SMALL_ORDINALS, rand_formula, rand_ordinal, rc_formulas
 from rcworm import rc
 from rcworm.errors import BudgetExceededError, NotVariableFreeError
-from rcworm.ordinal import OMEGA, ONE, ZERO, add, compare, from_int, phi
+from rcworm.ordinal import (
+    OMEGA, ONE, ZERO, add, compare, from_int, is_successor, omega_power, phi, predecessor,
+)
 from rcworm.syntax import parse_formula, parse_worm, render
 from rcworm.worm import MAX_DISTINCT_LETTERS, Worm
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's formula generator)
 
 
 def f(text):
@@ -160,35 +168,90 @@ def test_minimal_model_pairing_edge():
     assert rc.model_check(m, 0, f("<2>(p & <1>q)"))
 
 
+# The reference: the closure over all ordinals, not just the sequent's
+# indices.  An edge carries a strength (sigma, inclusive): the
+# downward closed index set {b : b < sigma} or {b : b <= sigma}.  Canonical
+# form keeps the strict flag only at limit bounds.  The table of strengths
+# is closed under strictly-below, so it can be far longer than the list of
+# indices (<1000> alone brings 1,001).  The ranked closure must admit, on
+# every edge, exactly the ranked indices the strength here contains.
+
+
+def s_contains(s, alpha):
+    sigma, incl = s
+    c = compare(alpha, sigma)
+    return c < 0 or (c == 0 and incl)
+
+
+def s_cmp(s1, s2):
+    # inclusion test; strengths are nested so this is a linear order
+    c = compare(s1[0], s2[0])
+    if c != 0:
+        return c
+    return (s1[1] > s2[1]) - (s1[1] < s2[1])
+
+
+def s_below(s):
+    """Strictly-below set {b : exists a in s, b < a}, or None when empty."""
+    sigma, incl = s
+    if incl:
+        if sigma.is_zero():
+            return None
+        if is_successor(sigma):
+            return (predecessor(sigma), True)
+        return (sigma, False)
+    return s  # canonical strict strengths have limit bounds
+
+
+def strength_table(seeded):
+    """Every strength the closure can reach, sorted by inclusion; [0] unused."""
+    seen = set()
+    stack = []
+    for row in seeded:
+        for s in row.values():
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    while stack:
+        b = s_below(stack.pop())
+        if b is not None and b not in seen:
+            seen.add(b)
+            stack.append(b)
+    return [None] + sorted(seen, key=cmp_to_key(s_cmp))
+
+
 def reference_model(f):
-    """The per-edge closure on Python dicts: (labels, edges, strengths).
+    """The all-ordinal closure of f on Python dicts: (labels, edges), where
+    edges[x] maps y to the strength of the edge x -> y.
 
     Seeds one node per diamond occurrence in the order build_minimal_model
-    does, then applies the two frame rewrites one present edge x -> y at a
-    time, sweeping bottom-up then top-down until a round changes nothing.
+    does (a diamond equal to a sibling adds none), then applies the two
+    frame rewrites one present edge x -> y at a time, sweeping bottom-up
+    then top-down until a round changes nothing.
     """
-    labels, seeded = [set()], [{}]
+    labels, seeded, diamonds = [set()], [{}], [[]]
 
     def seed(node, g):
         for p in g.conjuncts if isinstance(g, rc.And) else (g,):
             if isinstance(p, rc.Var):
                 labels[node].add(p.name)
-            elif isinstance(p, rc.Diam):
+            elif isinstance(p, rc.Diam) and p not in diamonds[node]:
+                diamonds[node].append(p)
                 labels.append(set())
                 seeded.append({})
+                diamonds.append([])
                 seeded[node][len(labels) - 1] = (p.index, True)
                 seed(len(labels) - 1, p.body)
 
     seed(0, f)
-    edges, table = reference_close(seeded)
-    return [frozenset(s) for s in labels], edges, table
+    return [frozenset(s) for s in labels], reference_close(seeded)
 
 
 def reference_close(seeded):
-    """(closed dict rows of ranks, strength table) of a seeded frame."""
-    table = rc._strength_table(seeded)
+    """Closed dict rows of strengths of a seeded frame."""
+    table = strength_table(seeded)
     rank = {s: r for r, s in enumerate(table) if r > 0}
-    below = [0] + [rank.get(rc._s_below(s), 0) for s in table[1:]]
+    below = [0] + [rank.get(s_below(s), 0) for s in table[1:]]
     edges = [{y: rank[s] for y, s in row.items()} for row in seeded]
 
     def raise_to(row, z, v):
@@ -210,15 +273,30 @@ def reference_close(seeded):
                 if below[r]:
                     for z, s in list(row.items()):
                         changed |= raise_to(edges[y], z, min(below[r], s))
-    return edges, table
+    return [{y: table[r] for y, r in row.items()} for row in edges]
 
 
-def assert_matches_reference(f):
-    model = rc.build_minimal_model(f)
-    labels, edges, strengths = reference_model(f)
+def ranked(edges, strengths):
+    """The rank rows a closure over the indices strengths[1:] must give: an
+    edge's rank is how many of those indices its strength contains (they
+    are a prefix, as the strength is downward closed); 0 is no edge."""
+    out = []
+    for row in edges:
+        ranks = {y: sum(s_contains(s, a) for a in strengths[1:]) for y, s in row.items()}
+        out.append({y: r for y, r in ranks.items() if r})
+    return out
+
+
+def in_order(indices):
+    return sorted(set(indices), key=cmp_to_key(compare))
+
+
+def assert_matches_reference(f, g=rc.TOP):
+    model = rc.build_minimal_model(f, g)
+    labels, edges = reference_model(f)
     assert model.labels == labels
-    assert model.edges == edges
-    assert model.strengths == strengths
+    assert model.strengths[1:] == in_order(rc._indices(f) + rc._indices(g))
+    assert model.edges == ranked(edges, model.strengths)
     return model
 
 
@@ -245,6 +323,20 @@ def test_closure_matches_reference_on_random_formulas():
         assert_matches_reference(rc.normalize(rand_formula(rng, 200, pool)))
 
 
+def test_closure_matches_reference_over_indices_only_the_right_side_has():
+    # The right side's indices are ranked too, and they fall in the gaps
+    # between the left side's (finite gaps up to 40 wide): an edge the
+    # all-ordinal closure puts at <4> under a seeded <5> must admit 3.
+    rng = random.Random(2027)
+    pool = [from_int(k) for k in range(41)] + SMALL_ORDINALS[4:] + transfinite_pool(rng, 6)
+    for _ in range(400):
+        indices = rng.sample(pool, rng.randint(2, 8))
+        k = rng.randint(1, len(indices) - 1)
+        lhs = rand_formula(rng, rng.randrange(1, 30), indices[:k])
+        rhs = rand_formula(rng, rng.randrange(2, 10), indices[k:])
+        assert_matches_reference(lhs, rhs)
+
+
 def test_closure_matches_reference_on_frames_that_are_not_trees():
     # Seeded formula trees close in one pass.  Here edges also run from later
     # to earlier nodes, and the fixed frame changes in three passes, so a
@@ -262,23 +354,30 @@ def test_closure_matches_reference_on_frames_that_are_not_trees():
             x, y = rng.sample(range(n), 2)
             frames[-1][x][y] = (rng.choice(SMALL_ORDINALS[:6]), True)
     for seeded in frames:
-        matrix, table = rc._close(seeded)
-        edges, want_table = reference_close(seeded)
-        assert table == want_table
-        assert [{y: int(r) for y, r in enumerate(row) if r} for row in matrix] == edges
+        rank = rc._ranks([a for row in seeded for a, _ in row.values()])
+        seeds = [(x, y, rank[a]) for x, row in enumerate(seeded) for y, (a, _) in row.items()]
+        matrix = rc._close(len(seeded), seeds, len(rank))
+        strengths = [None] + in_order(rank)
+        want = ranked(reference_close(seeded), strengths)
+        assert [{y: int(r) for y, r in enumerate(row) if r} for row in matrix] == want
 
 
 def test_closure_rank_dtype_holds_wide_tables():
-    # 55 diamonds whose strength table outgrows one byte of rank
-    f = rc.conj(tuple(
-        rc.Diam(add(phi(from_int(a), from_int(b)), THREE), rc.TOP)
-        for a in range(5)
-        for b in range(1, 12)
+    # 300 diamonds <w+k>T under the root: 300 ranks, more than one byte holds.
+    # Pairing puts an edge of rank min(j, i - 1) from the i-th node to the
+    # j-th, and nothing more closes.
+    n = 300
+    model = rc.build_minimal_model(rc.conj(
+        tuple(rc.Diam(add(OMEGA, from_int(k)), rc.TOP) for k in range(n))
     ))
-    model = assert_matches_reference(rc.normalize(f))
-    ranks = [r for row in model.edges for r in row.values()]
-    assert len(model.strengths) > 256 and max(ranks) > 255
-    assert max(ranks) < len(model.strengths)
+    want = [{i: i for i in range(1, n + 1)}]
+    for i in range(1, n + 1):
+        want.append({j: min(j, i - 1) for j in range(1, n + 1) if min(j, i - 1)})
+    assert model.edges == want
+    assert len(model.strengths) - 1 == n and model.matrix.max() == n > 255
+    top, below = (rc.Diam(add(OMEGA, from_int(k)), rc.TOP) for k in (n - 1, n - 2))
+    assert rc.model_check(model, 0, rc.Diam(top.index, below))
+    assert not rc.model_check(model, 0, rc.Diam(top.index, top))
 
 
 def test_derives_size_800_median_under_half_a_second():
@@ -295,13 +394,15 @@ def test_derives_size_800_median_under_half_a_second():
 
 
 def test_derives_large_finite_index_is_fast():
-    # no Goedel code of <28> (a 28-summand notation) is ever computed
-    timings = []
-    for _ in range(3):
-        started = time.perf_counter()
-        assert rc.derives(f("<28>T & <1>T"), f("<1>T"))
-        timings.append(time.perf_counter() - started)
-    assert min(timings) < 0.01, timings
+    # no Goedel code of <28> (a 28-summand notation) is ever computed, and
+    # no index between 1 and 1000 is ever built
+    for lhs in ("<28>T & <1>T", "<1000>T & <1>T"):
+        timings = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert rc.derives(f(lhs), f("<1>T"))
+            timings.append(time.perf_counter() - started)
+        assert min(timings) < 0.01, (lhs, timings)
 
 
 def test_model_check_basics():
@@ -314,9 +415,20 @@ def test_model_check_basics():
     assert not m2.related(0, TWO, 1) and not m2.related(1, ZERO, 0)
 
 
-def reference_model_check(model, node, f):
-    """The lazy check: node by node, walking each node's dict row."""
-    edges = model.edges
+def test_an_unranked_index_rebuilds_the_model():
+    # over {5} alone the two siblings are unrelated; over {3, 5} the
+    # pairing law relates them at 3
+    m = rc.build_minimal_model(f("<5>p & <5>q"))
+    assert m.strengths == [None, from_int(5)]
+    assert not m.related(1, from_int(5), 2) and m.related(1, THREE, 2)
+    assert rc.model_check(m, 0, f("<5>(p & <3>q)"))
+    assert not rc.model_check(m, 0, f("<5>(p & <5>q)"))
+    assert m.strengths == [None, from_int(5)]
+
+
+def lazy_check(labels, edges, admits, node, f):
+    """The lazy check: node by node, walking each node's dict row;
+    admits(edge value, a) says whether an edge admits the index a."""
     memo = {}
 
     def sat(x, g):
@@ -326,16 +438,25 @@ def reference_model_check(model, node, f):
             if isinstance(g, rc._Top):
                 hit = True
             elif isinstance(g, rc.Var):
-                hit = g.name in model.labels[x]
+                hit = g.name in labels[x]
             elif isinstance(g, rc.And):
                 hit = all(sat(x, c) for c in g.conjuncts)
             else:
-                t = model.admission_rank(g.index)
-                hit = any(r >= t and sat(y, g.body) for y, r in edges[x].items())
+                hit = any(admits(s, g.index) and sat(y, g.body) for y, s in edges[x].items())
             memo[key] = hit
         return hit
 
     return sat(node, f)
+
+
+def reference_model_check(model, node, f):
+    return lazy_check(model.labels, model.edges, lambda r, a: r >= model.rank[a], node, f)
+
+
+def reference_derives(f, g):
+    """derives on the all-ordinal closure of f."""
+    labels, edges = reference_model(f)
+    return lazy_check(labels, edges, s_contains, 0, g)
 
 
 def subformulas(g):
@@ -349,8 +470,10 @@ def subformulas(g):
 
 def assert_check_matches_reference(rng, lhs, rhs, nodes):
     """Both checks agree on rhs and on some of lhs's own subformulas (which
-    hold at many nodes), at the root and at `nodes` random other nodes."""
-    model = rc.build_minimal_model(lhs)
+    hold at many nodes), at the root and at `nodes` random other nodes; the
+    check agrees too on a model built without rhs's indices."""
+    model = rc.build_minimal_model(lhs, rhs)
+    narrow = rc.build_minimal_model(lhs)
     parts = list(subformulas(lhs))
     goals = [rhs, rng.choice(parts), rng.choice(parts)]
     at = [0] + [rng.randrange(len(model.labels)) for _ in range(nodes)]
@@ -359,6 +482,7 @@ def assert_check_matches_reference(rng, lhs, rhs, nodes):
         for x in at:
             want = reference_model_check(model, x, g)
             assert rc.model_check(model, x, g) is want, (lhs, g, x)
+            assert rc.model_check(narrow, x, g) is want, (lhs, g, x)
             answers.add(want)
     return answers
 
@@ -376,6 +500,66 @@ def test_model_check_matches_reference():
         lhs, rhs = rand_formula(rng, 200, pool), rand_formula(rng, 200, pool)
         answers |= assert_check_matches_reference(rng, lhs, rhs, 20)
     assert answers == {True, False}
+
+
+def test_derives_matches_reference_on_a_seeded_corpus():
+    rng = random.Random(2030)
+    pool = SMALL_ORDINALS + [from_int(k) for k in range(5, 9)] + transfinite_pool(rng, 6)
+    answers = [0, 0]
+    for _ in range(20_000):
+        indices = rng.sample(pool, rng.randint(2, 6))
+        lhs = rand_formula(rng, rng.randint(1, 12), indices)
+        rhs = rand_formula(rng, rng.randint(1, 6), indices)
+        want = reference_derives(lhs, rhs)
+        assert rc.derives(lhs, rhs) is want, (render(lhs), render(rhs))
+        answers[want] += 1
+    assert min(answers) > 1000, answers
+
+
+def test_derives_matches_reference_on_benchmark_pairs():
+    # the derive-large generator at its size: half the pairs plant an index
+    # above every index on the left
+    rng = random.Random(2031)
+    pool = set()
+    while len(pool) < 50:
+        a = gen.rand_ord(rng)
+        if a[0][0] > 0:
+            pool.add(a)
+    answers = []
+    for _ in range(2):
+        lhs, rhs, want = gen.derive_pair(rng, 200, sorted(pool), lambda h: gen.CEILING)
+        lhs, rhs = (f(gen.formula_text(h, gen.ord_text)) for h in (lhs, rhs))
+        assert rc.derives(lhs, rhs) is want is reference_derives(lhs, rhs)
+        answers.append(want)
+    assert sorted(answers) == [False, True]
+
+
+def relabel(g, sigma):
+    if isinstance(g, rc.Diam):
+        return rc.Diam(sigma(g.index), relabel(g.body, sigma))
+    if isinstance(g, rc.And):
+        return rc.And(tuple(relabel(c, sigma) for c in g.conjuncts))
+    return g
+
+
+def test_derives_depends_only_on_the_order_of_indices():
+    rng = random.Random(2032)
+    pool = SMALL_ORDINALS + [from_int(k) for k in range(5, 9)] + transfinite_pool(rng, 6)
+    answers, shuffled_changed = set(), 0
+    for _ in range(2000):
+        indices = rng.sample(pool, rng.randint(2, 6))
+        lhs = rand_formula(rng, rng.randint(1, 12), indices)
+        rhs = rand_formula(rng, rng.randint(1, 6), indices)
+        want = rc.derives(lhs, rhs)
+        answers.add(want)
+        rank = rc._ranks(indices)
+        shuffle = dict(zip(rank, rng.sample(list(rank), len(rank))))
+        for sigma in (lambda a: from_int(rank[a]), omega_power):
+            assert rc.derives(relabel(lhs, sigma), relabel(rhs, sigma)) is want
+        shuffled_changed += rc.derives(relabel(lhs, shuffle.get), relabel(rhs, shuffle.get)) is not want
+    assert answers == {True, False}
+    # a map that does not keep the order changes answers, so the test has power
+    assert shuffled_changed > 0
 
 
 # ----------------------------------------------------------------- derives
