@@ -1,5 +1,10 @@
 """Strictly positive modal formulas over transfinite modalities.
 
+Formulas are hash-consed (hashcons), so equal formulas are one object and
+equality is identity.  normalize orders the conjuncts of a conjunction by
+their `key`, where indices compare in ordinal order, the only order that
+derivability depends on (derives); Godel codes are for output alone.
+
 Derivability between conjunctive diamond formulas is decided on a minimal
 closure model: the syntax tree of the left formula gives one node per
 diamond occurrence, and the accessibility relations are closed under
@@ -30,28 +35,34 @@ from functools import cmp_to_key
 from itertools import cycle
 
 from .errors import BudgetExceededError, NotVariableFreeError, SearchExhaustedError
-from .ordinal import ZERO, Ordinal, compare, godel_code
+from .hashcons import Node
+from .ordinal import compare
 from .worm import MAX_DISTINCT_LETTERS, Worm, compare_at, order_type
 
 
 # ---------------------------------------------------------------- formulas
 
 
-class RcFormula:
-    __slots__ = ()
+class RcFormula(Node):
+    """A hash-consed formula (see hashcons), so equal formulas are one object.
+
+    `key` orders formulas: (0,) for T, (1, name) for a variable,
+    (2, index, body key) for a diamond and (3, *conjunct keys) for a
+    conjunction.  The index is the interned notation itself, which compares
+    in ordinal order, so no Godel code is ever computed.
+    """
+
+    __slots__ = ("key",)
 
 
 class _Top(RcFormula):
     __slots__ = ()
 
+    def _fill(self):
+        self.key = (0,)
+
     def __repr__(self):
         return "TOP"
-
-    def __eq__(self, other):
-        return isinstance(other, _Top)
-
-    def __hash__(self):
-        return hash("rc-top")
 
 
 TOP = _Top()
@@ -60,17 +71,8 @@ TOP = _Top()
 class Var(RcFormula):
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("rc-var", self.name))
-
-    def __repr__(self):
-        return "Var(%r)" % self.name
+    def _fill(self):
+        self.key = (1, self.name)
 
 
 class And(RcFormula):
@@ -78,36 +80,21 @@ class And(RcFormula):
 
     __slots__ = ("conjuncts",)
 
-    def __init__(self, conjuncts):
-        self.conjuncts = tuple(conjuncts)
-        if not self.conjuncts:
+    def __new__(cls, conjuncts):
+        conjuncts = tuple(conjuncts)
+        if not conjuncts:
             raise ValueError("empty conjunction; use TOP")
+        return Node.__new__(cls, conjuncts)
 
-    def __eq__(self, other):
-        return isinstance(other, And) and self.conjuncts == other.conjuncts
-
-    def __hash__(self):
-        return hash(("rc-and", self.conjuncts))
-
-    def __repr__(self):
-        return "And(%r)" % (self.conjuncts,)
+    def _fill(self):
+        self.key = (3, *[c.key for c in self.conjuncts])
 
 
 class Diam(RcFormula):
     __slots__ = ("index", "body")
 
-    def __init__(self, index, body):
-        self.index = index
-        self.body = body
-
-    def __eq__(self, other):
-        return isinstance(other, Diam) and self.index == other.index and self.body == other.body
-
-    def __hash__(self):
-        return hash(("rc-diam", self.index, self.body))
-
-    def __repr__(self):
-        return "Diam(%r, %r)" % (self.index, self.body)
+    def _fill(self):
+        self.key = (2, self.index, self.body.key)
 
 
 def conj(parts):
@@ -133,47 +120,40 @@ def worm_formula(w):
     return f
 
 
-def formula_key(f):
-    """Canonical sort/memo key; total over formulas."""
-    if isinstance(f, _Top):
-        return (0,)
-    if isinstance(f, Var):
-        return (1, f.name)
-    if isinstance(f, Diam):
-        return (2, godel_code(f.index), formula_key(f.body))
-    return (3,) + tuple(formula_key(c) for c in f.conjuncts)
+def _children(f):
+    return (f.body,) if isinstance(f, Diam) else f.conjuncts if isinstance(f, And) else ()
 
 
 def normalize(f):
-    """Set-semantics normal form: flattened, sorted, deduplicated conjunctions."""
-    return _normalize(f)[0]
+    """Set-semantics normal form: conjunctions flattened, deduplicated and
+    sorted by key, so formulas that differ only in conjunct order and
+    repeats normalize to one object.
 
-
-def _normalize(f):
-    """(normalize(f), its formula_key), each key built from its children's.
-
-    Conjunctions are flattened before they are sorted and deduplicated, which
-    makes the result idempotent and duplicate-free even on nested input.
+    One post-order pass from an explicit stack normalizes each distinct
+    subformula once, after its parts.  Equal conjuncts are one object, so
+    siblings dedupe by identity.
     """
-    if isinstance(f, Diam):
-        body, key = _normalize(f.body)
-        return Diam(f.index, body), (2, godel_code(f.index), key)
-    if isinstance(f, And):
-        seen = {}
-        for c in f.conjuncts:
-            g, key = _normalize(c)
-            if isinstance(g, And):
-                for part, part_key in zip(g.conjuncts, key[1:]):
-                    seen.setdefault(part_key, part)
-            elif not isinstance(g, _Top):
-                seen.setdefault(key, g)
-        keys = sorted(seen)
-        if not keys:
-            return TOP, (0,)
-        if len(keys) == 1:
-            return seen[keys[0]], keys[0]
-        return And(seen[k] for k in keys), (3, *keys)
-    return f, formula_key(f)
+    done = {}
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if g in done:
+            todo.pop()
+            continue
+        parts = _children(g)
+        fresh = [c for c in parts if c not in done]
+        if fresh:
+            todo += fresh
+            continue
+        todo.pop()
+        if isinstance(g, Diam):
+            done[g] = Diam(g.index, done[g.body])
+        elif isinstance(g, And):
+            flat = dict.fromkeys(p for c in parts for p in _parts(done[c]))
+            done[g] = conj(sorted(flat, key=lambda p: p.key))
+        else:
+            done[g] = g
+    return done[f]
 
 
 def build_q(beta, k, f):
@@ -262,7 +242,7 @@ def build_minimal_model(f, g=TOP):
     the closure.  Nodes are numbered in preorder, from an explicit stack.
     """
     labels = [set()]
-    seeded = [[]]  # node -> the diamonds seeded under it
+    seeded = [set()]  # node -> the diamonds seeded under it
     edges = []     # (parent, child, index)
     todo = [(0, iter(_parts(f)))]
     while todo:
@@ -273,11 +253,11 @@ def build_minimal_model(f, g=TOP):
         elif isinstance(p, Var):
             labels[node].add(p.name)
         elif isinstance(p, Diam) and p not in seeded[node]:
-            seeded[node].append(p)
+            seeded[node].add(p)
             edges.append((node, len(labels), p.index))
             todo.append((len(labels), iter(_parts(p.body))))
             labels.append(set())
-            seeded.append([])
+            seeded.append(set())
         elif isinstance(p, And):
             todo.append((node, iter(p.conjuncts)))  # nested And from un-normalized input
     rank = _ranks([a for _, _, a in edges] + _indices(g))
@@ -326,27 +306,26 @@ def _close(n, seeds, k):
 def model_check(model, node, f):
     """Whether f holds at `node` of the model.
 
-    Each distinct subformula object of f is evaluated once, after its parts
-    and from an explicit stack, as a boolean vector over all nodes: TOP holds
-    everywhere, a variable where it labels the node, a conjunction where
-    every conjunct holds, and <a>B at x when some edge x -> y admits a (its
-    rank reaches a's) and B holds at y.  An index the model did not rank
-    rebuilds it once, over the indices of f as well.
+    Each distinct subformula of f (one interned object) is evaluated once,
+    after its parts and from an explicit stack, as a boolean vector over all
+    nodes: TOP holds everywhere, a variable where it labels the node, a
+    conjunction where every conjunct holds, and <a>B at x when some edge
+    x -> y admits a (its rank reaches a's) and B holds at y.  An index the
+    model did not rank rebuilds it once, over the indices of f as well.
     """
     import numpy as np
 
     m, rank = model.matrix, model.rank
     n = len(model.labels)
     memo = {}
-    labelled = {}
     todo = [f]
     while todo:
         g = todo[-1]
-        if id(g) in memo:
+        if g in memo:
             todo.pop()
             continue
-        parts = (g.body,) if isinstance(g, Diam) else g.conjuncts if isinstance(g, And) else ()
-        fresh = [c for c in parts if id(c) not in memo]
+        parts = _children(g)
+        fresh = [c for c in parts if c not in memo]
         if fresh:
             todo += fresh
             continue
@@ -354,20 +333,16 @@ def model_check(model, node, f):
         if isinstance(g, _Top):
             hit = np.ones(n, dtype=bool)
         elif isinstance(g, Var):
-            hit = labelled.get(g.name)
-            if hit is None:
-                hit = labelled[g.name] = np.fromiter(
-                    (g.name in ls for ls in model.labels), dtype=bool, count=n
-                )
+            hit = np.fromiter((g.name in ls for ls in model.labels), dtype=bool, count=n)
         elif isinstance(g, And):
-            hit = np.logical_and.reduce([memo[id(c)] for c in parts])
+            hit = np.logical_and.reduce([memo[c] for c in parts])
         else:
             r = rank.get(g.index)
             if r is None:
                 return model_check(build_minimal_model(model.formula, f), node, f)
-            hit = (m[:, memo[id(g.body)]] >= r).any(axis=1)
-        memo[id(g)] = hit
-    return bool(memo[id(f)][node])
+            hit = (m[:, memo[g.body]] >= r).any(axis=1)
+        memo[g] = hit
+    return bool(memo[f][node])
 
 
 def derives(f, g):
@@ -588,7 +563,7 @@ def proof_search(f, g, max_depth=24):
         return hit
 
     def search(lhs, rhs, depth):
-        key = (formula_key(lhs), formula_key(rhs))
+        key = (lhs, rhs)
         hit = proven.get(key)
         if hit is not None:
             return hit
@@ -712,8 +687,7 @@ def proof_search(f, g, max_depth=24):
                     continue
                 merged = Diam(ci.index, conj((ci.body, cj)))
                 norm_merged = normalize(merged)
-                key_new = formula_key(norm_merged)
-                if any(formula_key(c) == key_new for c in parts):
+                if norm_merged in parts:
                     continue
                 grown = normalize(conj(parts + (norm_merged,)))
                 s = search(grown, rhs, depth - 1)
@@ -743,7 +717,7 @@ def proof_search(f, g, max_depth=24):
                 assert isinstance(grown, And)
                 intro = []
                 for c in grown.conjuncts:
-                    if formula_key(c) == key_new:
+                    if c is norm_merged:
                         intro.append(pair_step)
                     else:
                         intro.append(Derivation("ax-proj", (lhs, c)))

@@ -17,46 +17,19 @@ attributable to a specific clause.
 """
 
 from .errors import BudgetExceededError, NotInFragmentError, ParseError
+from .hashcons import Node
 
 from functools import reduce
 import json
 import re
-import weakref
 
 
-# ---------------------------------------------------------------- interning
+# ------------------------------------------------------------ node caches
 #
-# Terms and formulas are hash-consed (Filliatre & Conchon, "Type-safe modular
-# hash-consing", ML Workshop 2006): building a node whose class and fields
-# equal a live node's returns that node.  Equal structure is therefore the
-# same object, so equality and hashing are object identity: constant time and
-# free of recursion however deep a numeral is.  The table holds its nodes
-# weakly, so a node leaves it once nothing else refers to it.  Nodes must
-# never be mutated, and the table takes no lock: build nodes from one thread
-# at a time.
+# Terms and formulas are hash-consed (hashcons.Node); each node's _fill()
+# sets `fv`, the frozenset of the variables free in it, when it is built.
 
-_TABLE = weakref.WeakValueDictionary()
 _NO_VARS = frozenset()
-
-
-class _Node:
-    """A hash-consed node.  `fv` is the frozenset of the variables free in
-    it, computed once when the node is built."""
-
-    __slots__ = ("fv", "__weakref__")
-
-    def __new__(cls, *fields):
-        key = (cls,) + fields
-        node = _TABLE.get(key)
-        if node is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                setattr(node, name, value)
-            node.fv = node._free()
-            _TABLE[key] = node
-        return node
 
 
 def _union(a, b):
@@ -68,35 +41,35 @@ def _bind(fv, var):
     return fv - {var} if var in fv else fv
 
 
-def _free_arg(node):
-    return node.arg.fv
+def _fill_arg(node):
+    node.fv = node.arg.fv
 
 
-def _free_pair(node):
-    return _union(node.left.fv, node.right.fv)
+def _fill_pair(node):
+    node.fv = _union(node.left.fv, node.right.fv)
 
 
-def _free_terms(node):
-    return reduce(_union, (t.fv for t in node.terms), _NO_VARS)
+def _fill_terms(node):
+    node.fv = reduce(_union, (t.fv for t in node.terms), _NO_VARS)
 
 
-def _free_bounded(node):
-    return _union(node.bound.fv, _bind(node.body.fv, node.var))
+def _fill_bounded(node):
+    node.fv = _union(node.bound.fv, _bind(node.body.fv, node.var))
 
 
-def _free_unbounded(node):
-    return _bind(node.body.fv, node.var)
+def _fill_unbounded(node):
+    node.fv = _bind(node.body.fv, node.var)
 
 
 def _new_literal(cls, pred, terms):
-    return _Node.__new__(cls, pred, tuple(terms))
+    return Node.__new__(cls, pred, tuple(terms))
 
 
 # -------------------------------------------------------------------- terms
 
 
-class ArithTerm(_Node):
-    __slots__ = ()
+class ArithTerm(Node):
+    __slots__ = ("fv",)
 
     def __repr__(self):
         return render_term(self)
@@ -105,37 +78,37 @@ class ArithTerm(_Node):
 class Zero(ArithTerm):
     __slots__ = ()
 
-    def _free(self):
-        return _NO_VARS
+    def _fill(self):
+        self.fv = _NO_VARS
 
 
 class Succ(ArithTerm):
     __slots__ = ("arg",)
-    _free = _free_arg
+    _fill = _fill_arg
 
 
 class Plus(ArithTerm):
     __slots__ = ("left", "right")
-    _free = _free_pair
+    _fill = _fill_pair
 
 
 class Times(ArithTerm):
     __slots__ = ("left", "right")
-    _free = _free_pair
+    _fill = _fill_pair
 
 
 class Exp(ArithTerm):
     """Unary exponential, read base 2."""
 
     __slots__ = ("arg",)
-    _free = _free_arg
+    _fill = _fill_arg
 
 
 class Var(ArithTerm):
     __slots__ = ("name",)
 
-    def _free(self):
-        return frozenset((self.name,))
+    def _fill(self):
+        self.fv = frozenset((self.name,))
 
 
 ZERO_T = Zero()
@@ -171,8 +144,8 @@ def _pow2(v):
 # ----------------------------------------------------------------- formulas
 
 
-class TaitFormula(_Node):
-    __slots__ = ()
+class TaitFormula(Node):
+    __slots__ = ("fv",)
 
     def __repr__(self):
         return render_formula(self)
@@ -183,43 +156,43 @@ class Atom(TaitFormula):
 
     __slots__ = ("pred", "terms")
     __new__ = _new_literal
-    _free = _free_terms
+    _fill = _fill_terms
 
 
 class NegAtom(TaitFormula):
     __slots__ = ("pred", "terms")
     __new__ = _new_literal
-    _free = _free_terms
+    _fill = _fill_terms
 
 
 class AndF(TaitFormula):
     __slots__ = ("left", "right")
-    _free = _free_pair
+    _fill = _fill_pair
 
 
 class OrF(TaitFormula):
     __slots__ = ("left", "right")
-    _free = _free_pair
+    _fill = _fill_pair
 
 
 class BoundedAll(TaitFormula):
     __slots__ = ("var", "bound", "body")
-    _free = _free_bounded
+    _fill = _fill_bounded
 
 
 class BoundedEx(TaitFormula):
     __slots__ = ("var", "bound", "body")
-    _free = _free_bounded
+    _fill = _fill_bounded
 
 
 class All(TaitFormula):
     __slots__ = ("var", "body")
-    _free = _free_unbounded
+    _fill = _fill_unbounded
 
 
 class Ex(TaitFormula):
     __slots__ = ("var", "body")
-    _free = _free_unbounded
+    _fill = _fill_unbounded
 
 
 def atom_eq(a, b):

@@ -135,11 +135,38 @@ def test_rc_derives_large_finite_index(capsys):
 
 
 def test_rc_derives_on_a_long_run_of_diamonds(capsys):
-    # neither the model's seeding nor its check recurses per diamond
+    # neither the model's seeding nor its check recurses per diamond, and
+    # equal runs are one interned object, so the seeding's sibling check
+    # does not walk them
     run_ = "<1>" * 1000 + "T"
-    for lhs, rhs, want in ((run_, "<1>T", "true"), ("<1>T", run_, "false")):
+    cases = ((run_, "<1>T", "true"), ("<1>T", run_, "false"), (run_ + " & " + run_, "<1>T", "true"))
+    for lhs, rhs, want in cases:
         start = time.perf_counter()
         assert run(capsys, "rc", "derives", lhs, rhs) == (0, want)
+        assert time.perf_counter() - start < 5.0
+
+
+def test_rc_normalize_computes_no_godel_code(capsys):
+    # siblings sort by index in ordinal order; the Godel code of a finite
+    # index doubles its bit length per unit
+    cases = (
+        (("rc", "normalize", "<26>p"), "<26>p"),
+        (("rc", "normalize", "<1000>p & <2>p"), "<2>p & <1000>p"),
+        (("rc", "derives", "--certificate", "<26>p", "<1>p"), "true\n0: ax-lower - ; <26>p |- <1>p"),
+    )
+    for argv, want in cases:
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 0 and out.startswith(want)
+
+
+def test_rc_normalize_on_deep_input(capsys):
+    # one post-order pass from an explicit stack, nothing recursing per level
+    worm = "[%s]" % ",".join(["1,0"] * 1500)
+    for text, want in ((worm, "<1><0>" * 1500 + "T"), ("<1>" * 3000 + "p", "<1>" * 3000 + "p")):
+        start = time.perf_counter()
+        assert run(capsys, "rc", "normalize", text) == (0, want)
         assert time.perf_counter() - start < 5.0
 
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ordinals, rand_ordinal
-from rcworm import ordinal
+from rcworm import ordinal, rc
+from rcworm import truthcore as tc
 from rcworm.errors import (
     BudgetExceededError,
     InvalidCodeError,
@@ -45,7 +46,7 @@ from rcworm.ordinal import (
     predecessor,
     to_int,
 )
-from rcworm.syntax import parse_ordinal
+from rcworm.syntax import parse_formula, parse_ordinal
 
 
 def test_integer_round_trip():
@@ -261,6 +262,16 @@ def test_equal_notations_are_one_object():
     a = parse_ordinal("phi(w,1)+w^2")
     assert copy.copy(a) is a and copy.deepcopy(a) is a
     assert pickle.loads(pickle.dumps(a)) is a and ZERO.terms == ()
+
+
+def test_copies_of_terms_and_formulas_are_the_node_itself():
+    # one __reduce__ on the shared hash-consing base sends every copy back
+    # through its constructor
+    term = tc.Succ(tc.ZERO_T)
+    nodes = (term, tc.atom_le(term, tc.Var("x")), parse_formula("<w>(p & <1>T) & q"), rc.TOP)
+    for x in nodes:
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
 
 
 def test_intern_tables_hold_nodes_weakly():

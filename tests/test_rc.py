@@ -19,16 +19,19 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import SMALL_ORDINALS, rand_formula, rand_ordinal, rc_formulas
-from rcworm import rc
+from rcworm import ordinal, rc
 from rcworm.errors import BudgetExceededError, NotVariableFreeError
 from rcworm.ordinal import (
-    OMEGA, ONE, ZERO, add, compare, from_int, is_successor, omega_power, phi, predecessor,
+    OMEGA, ONE, ZERO, add, compare, from_int, godel_code, is_successor, omega_power, phi,
+    predecessor,
 )
 from rcworm.syntax import parse_formula, parse_worm, render
 from rcworm.worm import MAX_DISTINCT_LETTERS, Worm
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's formula generator)
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "known-values.txt"
 
 
 def f(text):
@@ -55,11 +58,18 @@ def test_worm_formula():
     assert rc.worm_formula(Worm((ONE, ZERO))) == f("<1><0>T")
 
 
+def test_equal_formulas_are_one_object():
+    assert rc.Diam(OMEGA, rc.Var("p")) is rc.Diam(OMEGA, rc.Var("p"))
+    assert f("<w>(p & <1>T)") is rc.Diam(OMEGA, rc.And((rc.Var("p"), rc.Diam(ONE, rc.TOP))))
+    assert rc.And(x for x in (rc.TOP, rc.TOP)) is rc.And((rc.TOP, rc.TOP))
+    with pytest.raises(ValueError):
+        rc.And(())
+
+
 def test_normalize_sorts_and_dedupes_conjuncts():
     a = rc.normalize(f("q & p & q"))
     b = rc.normalize(f("p & q"))
-    assert a == b
-    assert rc.formula_key(a) == rc.formula_key(b)
+    assert a is b and a.key == (3, (1, "p"), (1, "q"))
 
 
 def test_normalize_idempotent_on_samples():
@@ -68,17 +78,62 @@ def test_normalize_idempotent_on_samples():
         assert rc.normalize(once) == once
 
 
+def scratch_key(f, index_key=lambda a: a):
+    """A formula's key, built from scratch, each index mapped by index_key."""
+    if isinstance(f, rc.Diam):
+        return (2, index_key(f.index), scratch_key(f.body, index_key))
+    if isinstance(f, rc.And):
+        return (3,) + tuple(scratch_key(c, index_key) for c in f.conjuncts)
+    return (1, f.name) if isinstance(f, rc.Var) else (0,)
+
+
+def godel_key(f):
+    """The sort key normalize once used, with each index as its Godel code."""
+    return scratch_key(f, godel_code)
+
+
 def reference_normalize(f):
-    """The direct normalize: every conjunct keyed by formula_key from
-    scratch, and nested conjunctions sorted unflattened, so it is a
-    reference on flat (parser-produced) input only."""
+    """The Godel-keyed normalize: every conjunction flattened, deduplicated
+    and sorted by godel_key, recomputed from scratch at every level."""
     if isinstance(f, rc.Diam):
         return rc.Diam(f.index, reference_normalize(f.body))
     if isinstance(f, rc.And):
         seen = {}
-        for p in (reference_normalize(c) for c in f.conjuncts):
-            seen.setdefault(rc.formula_key(p), p)
+        for c in f.conjuncts:
+            g = reference_normalize(c)
+            for p in g.conjuncts if isinstance(g, rc.And) else (g,):
+                seen.setdefault(godel_key(p), p)
         return rc.conj([seen[k] for k in sorted(seen)])
+    return f
+
+
+_KIND = {rc.TOP.__class__: 0, rc.Var: 1, rc.Diam: 2, rc.And: 3}
+
+
+def order_cmp(a, b):
+    """The sibling order, from compare alone: kind, then a variable's name,
+    a diamond's index in ordinal order and then its body, and conjunctions
+    conjunct by conjunct, a proper prefix first."""
+    c = _KIND[a.__class__] - _KIND[b.__class__]
+    if c or a is rc.TOP:
+        return c
+    if isinstance(a, rc.Var):
+        return (a.name > b.name) - (a.name < b.name)
+    if isinstance(a, rc.Diam):
+        return compare(a.index, b.index) or order_cmp(a.body, b.body)
+    for x, y in zip(a.conjuncts, b.conjuncts):
+        c = order_cmp(x, y)
+        if c:
+            return c
+    return len(a.conjuncts) - len(b.conjuncts)
+
+
+def resort(f):
+    """f with every conjunction's conjuncts put in order_cmp order."""
+    if isinstance(f, rc.Diam):
+        return rc.Diam(f.index, resort(f.body))
+    if isinstance(f, rc.And):
+        return rc.And(sorted(map(resort, f.conjuncts), key=cmp_to_key(order_cmp)))
     return f
 
 
@@ -96,15 +151,29 @@ def rand_nested(rng, size, indices):
     return rc.And(parts)
 
 
+def shuffled(rng, f):
+    """f with every conjunction's conjuncts shuffled, some repeated, and
+    some nested one level deeper."""
+    if isinstance(f, rc.Diam):
+        return rc.Diam(f.index, shuffled(rng, f.body))
+    if not isinstance(f, rc.And):
+        return f
+    parts = [shuffled(rng, c) for c in f.conjuncts]
+    parts += rng.sample(parts, rng.randrange(len(parts)))
+    rng.shuffle(parts)
+    if rng.random() < 0.5:
+        parts[-2:] = [rc.And(parts[-2:])]
+    return rc.And(parts)
+
+
 def assert_normal(g):
     """g is flat, sorted, duplicate-free, a fixpoint, and keyed correctly."""
-    again, key = rc._normalize(g)
-    assert again == g and key == rc.formula_key(g)
+    assert rc.normalize(g) is g and g.key == scratch_key(g)
     if isinstance(g, rc.And):
-        keys = [rc.formula_key(c) for c in g.conjuncts]
-        assert keys == sorted(set(keys))
-        assert not any(isinstance(c, (rc.And, rc._Top)) for c in g.conjuncts)
-        for c in g.conjuncts:
+        cs = g.conjuncts
+        assert all(a.key < b.key for a, b in zip(cs, cs[1:]))
+        assert not any(isinstance(c, (rc.And, rc._Top)) for c in cs)
+        for c in cs:
             assert_normal(c)
     elif isinstance(g, rc.Diam):
         assert_normal(g.body)
@@ -125,17 +194,65 @@ def test_normalize_keys_and_idempotence_on_random_nested_input():
     rng = random.Random(31)
     mixed = SMALL_ORDINALS + [from_int(k) for k in range(5, 9)]
     for _ in range(300):
-        g, key = rc._normalize(rand_nested(rng, rng.randrange(1, 40), mixed))
-        assert key == rc.formula_key(g)
-        assert_normal(g)
+        assert_normal(rc.normalize(rand_nested(rng, rng.randrange(1, 40), mixed)))
 
 
 def test_normalize_matches_reference_on_parsed_input():
+    # over finite indices ordinal order is Godel-code order, so the printed
+    # normal forms are the Godel-keyed ones byte for byte
     rng = random.Random(32)
+    finite = [from_int(k) for k in range(9)]
+    for _ in range(300):
+        g = f(render(rand_formula(rng, rng.randrange(1, 40), finite)))
+        assert render(rc.normalize(g)) == render(reference_normalize(g))
+        h = rand_nested(rng, rng.randrange(1, 40), finite)
+        assert render(rc.normalize(h)) == render(reference_normalize(h))
+
+
+def test_normalize_orders_siblings_by_index():
+    # over mixed indices the conjunct sets are the reference's; only the
+    # sibling order is ordinal order, where Godel codes may disagree
+    assert render(rc.normalize(f("<eps0>p & <2>p"))) == "<2>p & <eps0>p"
+    assert render(reference_normalize(f("<2>p & <eps0>p"))) == "<eps0>p & <2>p"
+    rng = random.Random(33)
+    mixed = SMALL_ORDINALS + [from_int(k) for k in range(5, 9)]
+    reordered = 0
+    for _ in range(300):
+        g = rand_nested(rng, rng.randrange(1, 40), mixed)
+        want = reference_normalize(g)
+        assert rc.normalize(g) is resort(want)
+        reordered += rc.normalize(g) is not want
+    assert reordered > 10
+
+
+def test_normalize_forgets_conjunct_order_and_repeats():
+    rng = random.Random(34)
     mixed = SMALL_ORDINALS + [from_int(k) for k in range(5, 9)]
     for _ in range(300):
-        g = f(render(rand_formula(rng, rng.randrange(1, 40), mixed)))
-        assert render(rc.normalize(g)) == render(reference_normalize(g))
+        g = rand_formula(rng, rng.randrange(1, 40), mixed)
+        assert rc.normalize(shuffled(rng, g)) is rc.normalize(g)
+
+
+def test_nothing_in_rc_computes_a_godel_code(monkeypatch):
+    # rc orders formulas by their interned indices; Godel codes are output only
+    rows = [line.split(" ; ") for line in FIXTURES.read_text().splitlines()
+            if line.startswith(("rc-", "wnf "))]
+    assert len(rows) == 17 and not hasattr(rc, "godel_code")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("godel_code called")
+
+    monkeypatch.setattr(ordinal, "godel_code", refuse)
+    for kind, *args in rows:
+        if kind == "rc-derives":
+            lhs, rhs = rc.normalize(f(args[0])), rc.normalize(f(args[1]))
+            assert rc.derives(lhs, rhs) == (args[2] == "true")
+            if args[2] == "true":
+                assert rc.check_derivation(rc.proof_search(lhs, rhs))
+        elif kind == "rc-normalize":
+            assert render(rc.normalize(f(args[0]))) == args[1]
+        else:
+            assert render(rc.word_normal_form(f(args[0]))) == args[1]
 
 
 def test_build_q_shape():

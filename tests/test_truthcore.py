@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rand_delta0, rand_structure
+from rcworm import hashcons
 from rcworm import truthcore as tc
 from rcworm.errors import NotInFragmentError
 from rcworm.syntax import ParseError
@@ -395,14 +396,14 @@ def test_intern_table_does_not_grow_across_ops():
         f = pf("all x <= 40 . ex y <= x . P(y) | y = exp(3) + x")
         s = tc.build_evaluation(f, EMPTY)
         assert tc.is_evaluation(s, EMPTY) is True
-        return len(tc._TABLE)
+        return len(hashcons._TABLE)
 
     gc.collect()  # nodes held only by earlier tests' garbage cycles
-    before = len(tc._TABLE)
+    before = len(hashcons._TABLE)
     assert op() > before + 40
-    assert len(tc._TABLE) == before
+    assert len(hashcons._TABLE) == before
     op()
-    assert len(tc._TABLE) == before
+    assert len(hashcons._TABLE) == before
 
 
 def test_deep_numerals_evaluate():
