@@ -1,8 +1,8 @@
 """Strictly positive modal formulas over transfinite modalities.
 
 Formulas are hash-consed (hashcons), so equal formulas are one object and
-equality is identity.  normalize orders the conjuncts of a conjunction by
-their `key`, where indices compare in ordinal order, the only order that
+equality is identity.  normalize sorts the conjuncts of a conjunction with
+`<` (RcFormula), where indices compare in ordinal order, the only order that
 derivability depends on (derives); Godel codes are for output alone.
 
 Derivability between conjunctive diamond formulas is decided on a minimal
@@ -46,13 +46,21 @@ from .worm import MAX_DISTINCT_LETTERS, Worm, compare_at, order_type
 class RcFormula(Node):
     """A hash-consed formula (see hashcons), so equal formulas are one object.
 
-    `key` orders formulas: (0,) for T, (1, name) for a variable,
-    (2, index, body key) for a diamond and (3, *conjunct keys) for a
-    conjunction.  The index is the interned notation itself, which compares
-    in ordinal order, so no Godel code is ever computed.
+    Formulas are ordered by `<`, which compares their shallow `key`s: (0,)
+    for T, (1, name) for a variable, (2, index, body) for a diamond and
+    (3, *conjuncts) for a conjunction.  The index is the interned notation
+    itself, which compares in ordinal order, so no Godel code is ever
+    computed.  A key holds its subformulas, not their keys, so `<` walks a
+    run of diamonds with equal indices in a loop and recurses only through
+    conjunctions.
     """
 
     __slots__ = ("key",)
+
+    def __lt__(self, other):
+        while self.__class__ is Diam and other.__class__ is Diam and self.index is other.index:
+            self, other = self.body, other.body
+        return self.key < other.key
 
 
 class _Top(RcFormula):
@@ -87,14 +95,14 @@ class And(RcFormula):
         return Node.__new__(cls, conjuncts)
 
     def _fill(self):
-        self.key = (3, *[c.key for c in self.conjuncts])
+        self.key = (3, *self.conjuncts)
 
 
 class Diam(RcFormula):
     __slots__ = ("index", "body")
 
     def _fill(self):
-        self.key = (2, self.index, self.body.key)
+        self.key = (2, self.index, self.body)
 
 
 def conj(parts):
@@ -150,7 +158,7 @@ def normalize(f):
             done[g] = Diam(g.index, done[g.body])
         elif isinstance(g, And):
             flat = dict.fromkeys(p for c in parts for p in _parts(done[c]))
-            done[g] = conj(sorted(flat, key=lambda p: p.key))
+            done[g] = conj(sorted(flat))
         else:
             done[g] = g
     return done[f]

@@ -9,16 +9,17 @@ Formulas:  "T" | variable | "<a>f" | "f & g" | "(f)" | worm literal
            (its nested-diamond formula); diamonds bind tighter than "&",
            which flattens.
 
-render is the canonical inverse: parse(render(x)) == x, output is pure
-ASCII with finite ordinals in decimal.  Unicode aliases are accepted on
-input only; error positions refer to the ASCII-normalized text.
+render is the canonical inverse: parse(render(x)) == x for every x whose
+text nests at most MAX_NESTING levels deep, output is pure ASCII with
+finite ordinals in decimal.  Unicode aliases are accepted on input only;
+error positions refer to the ASCII-normalized text.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import BudgetExceededError, ParseError
 from .ordinal import (
     MAX_SUMMANDS,
     OMEGA,
@@ -50,13 +51,15 @@ _ALIASES = (
     ("⟩", ">"),
 )
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^(),\[\]<>&])")
-# A character that no _TOKEN token can hold.  The first one in a text is
-# refused before any parsing, as a whole-text tokenizer would, whatever error
-# comes before it.
-_STRAY = re.compile(r"[^\s\dA-Za-z_\-+*^(),\[\]<>&]")
-
 _KEYWORDS = {"w", "phi", "eps", "eps0", "T"}
+
+# Levels of nesting a parsed tree may have; deeper text is refused with
+# BudgetExceededError, so every recursive walk of a parsed tree stays inside
+# Python's default recursion limit.  A "(" opens a level, and so does "w^"
+# ("w^(a)" is one); in truth syntax also a quantifier, "neg" and each link of
+# an "&", "|", "+" or "*" chain.  A run of diamonds, an RC conjunction, an
+# ordinal sum, a worm literal and a numeral open none.
+MAX_NESTING = 200
 
 # Index text (what stands between a diamond's "<" and the next ">") -> its
 # ordinal.  Notations are immutable and hash-consed, so an entry is the very
@@ -73,28 +76,28 @@ def _normalize_input(text):
     return text
 
 
-def _decimal(tok):
-    """The count a digit token denotes, at most MAX_SUMMANDS; a longer literal
-    is refused before int() has to convert it."""
-    n = int(tok) if len(tok.lstrip("0")) <= len(str(MAX_SUMMANDS)) else MAX_SUMMANDS + 1
-    check_summands(n)
-    return n
+class Scanner:
+    """A one-token lookahead for recursive descent: tok is the next token
+    (None at the end), at its position, end where scanning resumes.
 
-
-class _Parser:
-    """Recursive descent over a one-token lookahead: tok is the next token
-    (None at the end), at its position, end where scanning resumes."""
+    A subclass supplies TOKEN, a pattern whose group 1 is the next token
+    after blanks, and STRAY, which matches a character no token can hold.
+    The first stray character is refused before any parsing, as a
+    whole-text tokenizer would, whatever error comes before it.  depth
+    counts the levels of nesting open at the lookahead (MAX_NESTING).
+    """
 
     def __init__(self, text):
-        self.text = _normalize_input(text)
-        stray = _STRAY.search(self.text)
+        self.text = text
+        stray = self.STRAY.search(text)
         if stray is not None:
             raise ParseError("unexpected character %r" % stray.group(), stray.start())
+        self.depth = 0
         self.scan(0)
 
     def scan(self, pos):
         """Read the token at or after pos into the lookahead."""
-        m = _TOKEN.match(self.text, pos)
+        m = self.TOKEN.match(self.text, pos)
         if m is None:  # only blanks are left
             self.tok = None
             self.at = self.end = len(self.text)
@@ -111,17 +114,67 @@ class _Parser:
 
     def next(self):
         tok = self.tok
+        if tok is None:
+            raise ParseError("unexpected end of input", self.at)
         self.scan(self.end)
         return tok
 
     def expect(self, tok):
-        if self.peek() != tok:
-            raise ParseError("expected %r" % tok, self.pos())
+        if self.tok != tok:
+            raise ParseError("expected %r" % tok, self.at)
         return self.next()
 
     def done(self):
-        if self.peek() is not None:
-            raise ParseError("trailing input %r" % self.peek(), self.pos())
+        if self.tok is not None:
+            raise ParseError("trailing input %r" % self.tok, self.at)
+
+    def whole(self, rule):
+        """What rule(self) parses, which must be all of the text."""
+        x = rule(self)
+        self.done()
+        return x
+
+    def literal(self, cap):
+        """The value of the digit token at the lookahead, consumed, or None
+        when it has more digits than cap, before int() has to convert it."""
+        tok = self.next()
+        return int(tok) if len(tok.lstrip("0")) <= len(str(cap)) else None
+
+    def open(self, tok):
+        """Consume tok and open one level of nesting."""
+        self.expect(tok)
+        self.depth += 1
+        self.fit()
+
+    def close(self, tok=None):
+        """Consume tok, if any, and close the innermost level."""
+        if tok is not None:
+            self.expect(tok)
+        self.depth -= 1
+
+    def fit(self, height=0):
+        """Refuse a construct `height` levels tall at the lookahead's depth
+        when the two together pass MAX_NESTING."""
+        if self.depth + height > MAX_NESTING:
+            raise BudgetExceededError(
+                "text nested more than %d levels deep (MAX_NESTING)" % MAX_NESTING
+            )
+
+
+class _Parser(Scanner):
+    """Ordinals, worms and formulas; aliases are normalized first."""
+
+    TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^(),\[\]<>&])")
+    STRAY = re.compile(r"[^\s\dA-Za-z_\-+*^(),\[\]<>&]")
+
+    def __init__(self, text):
+        super().__init__(_normalize_input(text))
+
+    def count(self):
+        """A digit token's value, at most MAX_SUMMANDS."""
+        n = self.literal(MAX_SUMMANDS)
+        check_summands(MAX_SUMMANDS + 1 if n is None else n)
+        return n
 
     # ---- ordinals
 
@@ -137,16 +190,14 @@ class _Parser:
         if tok is None:
             raise ParseError("expected an ordinal", self.pos())
         if tok.isdigit():
-            self.next()
-            return from_int(_decimal(tok))
+            return from_int(self.count())
         base = self.ord_base()
         if self.peek() == "*":
             self.next()
             count = self.peek()
             if count is None or not count.isdigit():
                 raise ParseError("expected a count after '*'", self.pos())
-            self.next()
-            return Ordinal(base.terms * _decimal(count))  # base is one term: already normal
+            return Ordinal(base.terms * self.count())  # base is one term: already normal
         return base
 
     def ord_base(self):
@@ -154,35 +205,37 @@ class _Parser:
         if tok == "w":
             self.next()
             if self.peek() == "^":
-                self.next()
-                return omega_power(self.ord_atom())
+                self.open("^")
+                a = self.ord_atom()
+                self.close()
+                return omega_power(a)
             return omega_power(ONE)
         if tok == "phi":
             self.next()
-            self.expect("(")
+            self.open("(")
             a = self.ordinal()
             self.expect(",")
             b = self.ordinal()
-            self.expect(")")
+            self.close(")")
             return phi(a, b)
         if tok == "eps0":
             self.next()
             return phi(ONE, ZERO)
         if tok == "eps":
             self.next()
-            self.expect("(")
+            self.open("(")
             a = self.ordinal()
-            self.expect(")")
+            self.close(")")
             return phi(ONE, a)
         raise ParseError("expected an ordinal term", self.pos())
 
     def ord_atom(self):
+        """An exponent; its "(" is the level its "w^" opened."""
         tok = self.peek()
         if tok is None:
             raise ParseError("expected an exponent", self.pos())
         if tok.isdigit():
-            self.next()
-            return from_int(_decimal(tok))
+            return from_int(self.count())
         if tok == "(":
             self.next()
             a = self.ordinal()
@@ -258,48 +311,36 @@ class _Parser:
     def formula_atom(self):
         tok = self.peek()
         if tok == "(":
-            self.next()
+            self.open("(")
             f = self.formula()
-            self.expect(")")
+            self.close(")")
             return f
         if tok == "[":
             return worm_formula(self.worm())
         if tok == "T":
             self.next()
             return TOP
-        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in _KEYWORDS:
+        if tok is not None and tok.isidentifier() and tok not in _KEYWORDS:
             self.next()
             return Var(tok)
         raise ParseError("expected a formula", self.pos())
 
 
 def parse_ordinal(text):
-    p = _Parser(text)
-    a = p.ordinal()
-    p.done()
-    return a
+    return _Parser(text).whole(_Parser.ordinal)
 
 
 def parse_ordinals(text):
     """A comma-separated list of ordinals, possibly empty."""
-    p = _Parser(text)
-    out = p.ordinals(None)
-    p.done()
-    return out
+    return _Parser(text).whole(lambda p: p.ordinals(None))
 
 
 def parse_worm(text):
-    p = _Parser(text)
-    w = p.worm()
-    p.done()
-    return w
+    return _Parser(text).whole(_Parser.worm)
 
 
 def parse_formula(text):
-    p = _Parser(text)
-    f = p.formula()
-    p.done()
-    return f
+    return _Parser(text).whole(_Parser.formula)
 
 
 # ---------------------------------------------------------------- rendering

@@ -18,6 +18,7 @@ attributable to a specific clause.
 
 from .errors import BudgetExceededError, NotInFragmentError, ParseError
 from .hashcons import Node
+from .syntax import Scanner
 
 from functools import reduce
 import json
@@ -630,193 +631,159 @@ def classify(f):
 # A leading '(' at the unit level always opens a formula, so comparisons must
 # start with an unparenthesized term.
 
-_T_TOKEN = re.compile(r"\s*(<=|\d+|[A-Za-z_][A-Za-z0-9_]*|[()+*,.=&|~])")
+_RESERVED = frozenset(("all", "ex", "neg", "S", "exp"))
+_CALL = re.compile(r"\s*\(")  # a predicate's "(" after its name
 
 
-def _t_tokenize(text):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _T_TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(
-                "unexpected character %r" % stripped[0], len(text) - len(stripped)
-            )
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
+class _TruthParser(Scanner):
+    """Recursive descent over the truth syntax.
 
+    height is the number of levels of the construct parsed last, below the
+    depth open around it.  A chain builds a left-nested tree, so each link
+    puts one more level above everything before it in the chain; link counts
+    it, and refuses the chain once it passes MAX_NESTING.
+    """
 
-class _TruthParser:
-    def __init__(self, text):
-        self.tokens = _t_tokenize(text)
-        self.i = 0
-        self.text = text
+    TOKEN = re.compile(r"\s*(<=|\d+|[A-Za-z_][A-Za-z0-9_]*|[()+*,.=&|~])")
+    STRAY = re.compile(r"[^\s\dA-Za-z_()+*,.=&|~<]|<(?!=)")  # "<" only in "<="
 
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def close(self, tok=None):
+        super().close(tok)
+        self.height += 1
 
-    def pos(self):
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.peek()
-        if got != tok:
-            raise ParseError("expected %r" % tok, self.pos())
-        self.i += 1
-
-    def done(self):
-        if self.peek() is not None:
-            raise ParseError("trailing input", self.pos())
+    def link(self, left):
+        """Count a link over a left part of height left and the part just parsed."""
+        self.height = max(left, self.height) + 1
+        self.fit(self.height)
 
     def formula(self):
         f = self.conj()
         while self.peek() == "|":
+            left = self.height
             self.next()
             f = OrF(f, self.conj())
+            self.link(left)
         return f
 
     def conj(self):
         f = self.unit()
         while self.peek() == "&":
+            left = self.height
             self.next()
             f = AndF(f, self.unit())
+            self.link(left)
         return f
 
     def unit(self):
         tok = self.peek()
         if tok in ("all", "ex"):
-            self.next()
+            self.open(tok)
             var = self.ident()
             bound = None
             if self.peek() == "<=":
                 self.next()
                 bound = self.term()
+            below = self.height if bound is not None else 0
             self.expect(".")
             body = self.formula()
+            self.height = max(below, self.height)
+            self.close()
             if tok == "all":
                 return All(var, body) if bound is None else BoundedAll(var, bound, body)
             return Ex(var, body) if bound is None else BoundedEx(var, bound, body)
         if tok in ("neg", "~"):
-            self.next()
+            self.open(tok)
             a = self.unit()
             if not isinstance(a, Atom):
                 raise ParseError("negation applies to atoms only", self.pos())
+            self.close()
             return NegAtom(a.pred, a.terms)
         if tok == "(":
-            self.next()
+            self.open("(")
             f = self.formula()
-            self.expect(")")
+            self.close(")")
             return f
         return self.atom()
 
     def ident(self):
         tok = self.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) or tok in (
-            "all",
-            "ex",
-            "neg",
-            "S",
-            "exp",
-        ):
+        if not tok.isidentifier() or tok in _RESERVED:
             raise ParseError("expected a name", self.pos())
         return tok
 
     def atom(self):
         # predicate application, or a comparison between two terms
         tok = self.peek()
-        if (
-            tok is not None
-            and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok)
-            and tok not in ("S", "exp", "all", "ex", "neg")
-            and self.i + 1 < len(self.tokens)
-            and self.tokens[self.i + 1][0] == "("
-        ):
-            pred = self.next()
-            self.expect("(")
+        if tok and tok.isidentifier() and tok not in _RESERVED and _CALL.match(self.text, self.end):
+            self.next()
+            self.open("(")
             terms = [self.term()]
+            below = self.height
             while self.peek() == ",":
                 self.next()
                 terms.append(self.term())
-            self.expect(")")
-            return Atom(pred, terms)
+                below = max(below, self.height)
+            self.height = below
+            self.close(")")
+            return Atom(tok, terms)
         left = self.term()
+        below = self.height
         op = self.next()
         if op not in ("=", "<="):
             raise ParseError("expected '=' or '<='", self.pos())
         right = self.term()
+        self.height = max(below, self.height)
         return Atom(op, (left, right))
 
     def term(self):
         t = self.factor()
         while self.peek() == "+":
+            left = self.height
             self.next()
             t = Plus(t, self.factor())
+            self.link(left)
         return t
 
     def factor(self):
         t = self.prim()
         while self.peek() == "*":
+            left = self.height
             self.next()
             t = Times(t, self.prim())
+            self.link(left)
         return t
 
     def prim(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+            raise ParseError("unexpected end of input", self.pos())
+        self.height = 0
         if tok.isdigit():
-            self.next()
-            if len(tok.lstrip("0")) > len(str(TRUTH_CAP)):  # before int() must convert it
+            n = self.literal(TRUTH_CAP)
+            if n is None:
                 raise BudgetExceededError(
                     "numeral %s... is above the truth budget of %d" % (tok[:12], TRUTH_CAP)
                 )
-            return numeral(int(tok))
-        if tok == "S":
-            self.next()
-            self.expect("(")
+            return numeral(n)
+        if tok in ("S", "exp", "("):
+            if tok != "(":
+                self.next()
+            self.open("(")
             t = self.term()
-            self.expect(")")
-            return Succ(t)
-        if tok == "exp":
-            self.next()
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return Exp(t)
-        if tok == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+            self.close(")")
+            return Exp(t) if tok == "exp" else Succ(t) if tok == "S" else t
+        if tok.isidentifier():
             self.next()
             return Var(tok)
         raise ParseError("expected a term", self.pos())
 
 
 def parse_truth_formula(text):
-    p = _TruthParser(text)
-    f = p.formula()
-    p.done()
-    return f
+    return _TruthParser(text).whole(_TruthParser.formula)
 
 
 def parse_truth_term(text):
-    p = _TruthParser(text)
-    t = p.term()
-    p.done()
-    return t
+    return _TruthParser(text).whole(_TruthParser.term)
 
 
 def render_term(t):
@@ -861,15 +828,10 @@ def render_formula(f):
         return "neg %s" % render_formula(Atom(f.pred, f.terms))
     if isinstance(f, AndF):
         # the parser is left-associative, so a nested right And needs parens
-        right = _paren_conj(f.right)
-        if isinstance(f.right, AndF):
-            right = "(%s)" % render_formula(f.right)
-        return "%s & %s" % (_paren_conj(f.left), right)
+        return "%s & %s" % (_paren(f.left, (OrF,) + _QUANTIFIED),
+                            _paren(f.right, (AndF, OrF) + _QUANTIFIED))
     if isinstance(f, OrF):
-        right = _paren_disj(f.right)
-        if isinstance(f.right, OrF):
-            right = "(%s)" % render_formula(f.right)
-        return "%s | %s" % (_paren_disj(f.left), right)
+        return "%s | %s" % (_paren(f.left, _QUANTIFIED), _paren(f.right, (OrF,) + _QUANTIFIED))
     if isinstance(f, BoundedAll):
         return "all %s <= %s . %s" % (f.var, render_term(f.bound), render_formula(f.body))
     if isinstance(f, BoundedEx):
@@ -881,15 +843,10 @@ def render_formula(f):
     raise TypeError("not a formula: %r" % (f,))
 
 
-def _paren_conj(f):
-    s = render_formula(f)
-    if isinstance(f, (OrF, BoundedAll, BoundedEx, All, Ex)):
-        return "(%s)" % s
-    return s
+_QUANTIFIED = (BoundedAll, BoundedEx, All, Ex)
 
 
-def _paren_disj(f):
+def _paren(f, kinds):
+    """The text of f, in parentheses when f is one of kinds."""
     s = render_formula(f)
-    if isinstance(f, (BoundedAll, BoundedEx, All, Ex)):
-        return "(%s)" % s
-    return s
+    return "(%s)" % s if isinstance(f, kinds) else s

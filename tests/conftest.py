@@ -5,6 +5,7 @@ builders for the counted randomized runs in the acceptance tests.
 """
 
 import random
+import sys
 
 from hypothesis import strategies as st
 
@@ -21,6 +22,17 @@ from rcworm.ordinal import (
 from rcworm.worm import Worm
 from rcworm import rc
 from rcworm import truthcore as tc
+
+
+# Python's default recursion limit, what a command-line process gets.
+DEFAULT_RECURSION_LIMIT = 1000
+
+
+def pytest_sessionstart(session):
+    # The nesting-bound tests in test_cli.py run main at the default limit; a
+    # raised one would hide a crash there.
+    assert sys.getrecursionlimit() == DEFAULT_RECURSION_LIMIT, (
+        "run the suite at Python's default recursion limit")
 
 
 # ------------------------------------------------------- hypothesis flavors

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rcworm
-from conftest import ordinals, rand_delta0, rc_formulas, worms
+from conftest import DEFAULT_RECURSION_LIMIT, ordinals, rand_delta0, rc_formulas, worms
 from rcworm.cli import CODE_BIT_CAP, main, run_fixture_file
 from rcworm import rc
 from rcworm.ordinal import godel_code
-from rcworm.syntax import parse_formula, parse_ordinal, parse_worm, render
-from rcworm.truthcore import TRUTH_CAP, render_formula
+from rcworm.syntax import MAX_NESTING, parse_formula, parse_ordinal, parse_worm, render
+from rcworm.truthcore import TRUTH_CAP, parse_truth_formula, render_formula
 
 CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "known-values.txt"
 
@@ -599,6 +599,97 @@ def test_paths_with_a_nul_are_parse_errors(capsys):
         assert code == 2 and out.startswith("parse error:"), argv
 
 
+# ---------------------------------------------------------- nesting bound
+
+
+def _nested(opener, inner, closer, n):
+    return opener * n + inner + closer * n
+
+
+def _chain(op, operand, links):
+    return op.join([operand] * (links + 1))
+
+
+# Family -> the command line of a text nested n levels deep in it.
+_NESTING = {
+    "rc parentheses": lambda n: ["rc", "derives", _nested("(", "p", ")", n), "p"],
+    "rc q shape": lambda n: ["rc", "normalize", _nested("<1>(p & ", "p", ")", n)],
+    "w^(": lambda n: ["ord", "cnf", _nested("w^(", "1", ")", n)],
+    "w^w^": lambda n: ["ord", "cnf", "w^" * n + "1"],
+    "phi(1,": lambda n: ["ord", "cnf", _nested("phi(1,", "0", ")", n)],
+    "worm letter": lambda n: ["worm", "o", "[%s]" % _nested("w^(", "1", ")", n)],
+    "truth parentheses": lambda n: ["truth", "eval", _nested("(", "0 = 0", ")", n)],
+    "&": lambda n: ["truth", "eval", _chain(" & ", "0 = 0", n)],
+    "|": lambda n: ["truth", "build-ef", _chain(" | ", "0 = 0", n)],
+    "+": lambda n: ["truth", "eval", _chain(" + ", "0", n) + " = 0"],
+    "*": lambda n: ["truth", "eval", _chain(" * ", "1", n) + " = 1"],
+    "S(": lambda n: ["truth", "eval", _nested("S(", "0", ")", n) + " = %d" % n],
+    "exp(": lambda n: ["truth", "classify", _nested("exp(", "0", ")", n) + " = 0"],
+    "quantifier": lambda n: ["truth", "eval", "all x <= 0 . " * n + "x = 0"],
+    "neg": lambda n: ["truth", "eval", "neg " + _nested("(", "0 = 1", ")", n - 1)],
+}
+
+
+@pytest.mark.parametrize("family", list(_NESTING))
+def test_nesting_at_the_bound_answers_and_one_level_more_is_refused(capsys, family):
+    # at the recursion limit a command-line process gets (conftest checks it)
+    code, out = run(capsys, *_NESTING[family](MAX_NESTING))
+    assert code == 0, out[:200]
+    code, out = run(capsys, *_NESTING[family](MAX_NESTING + 1))
+    assert code == 1 and "nested more than %d levels" % MAX_NESTING in out, out[:200]
+
+
+def test_nesting_counts_a_chain_above_its_first_operand(capsys):
+    # "(A) & B & ..." nests A's levels under every link of the chain
+    text = "0 = 0"
+    for _ in range(2):
+        text = "(%s)%s" % (text, " & 0 = 0" * 99)
+    assert run(capsys, "truth", "eval", text) == (0, "true")
+    code, out = run(capsys, "truth", "eval", "(%s) & 0 = 0" % text)
+    assert code == 1 and str(MAX_NESTING) in out
+
+
+def test_right_nested_chains_render_in_linear_time(capsys):
+    # each level is a link and a "(", so 100 levels of each are the bound
+    for op in ("&", "|"):
+        text = _nested("0 = 0 %s (" % op, "0 = 0", ")", MAX_NESTING // 2)
+        start = time.perf_counter()
+        code, out = run(capsys, "truth", "build-ef", text)
+        assert time.perf_counter() - start < 5.0
+        want = "%s : 1" % render_formula(parse_truth_formula(text))
+        assert code == 0 and want in out.splitlines() and out.endswith("locally correct: yes")
+
+
+def test_deep_nearly_equal_siblings_normalize(capsys):
+    # sibling order walks a run of equal diamonds in a loop
+    for n in (1000, 5000):
+        start = time.perf_counter()
+        code, out = run(capsys, "rc", "normalize", "<1>" * n + "p & " + "<1>" * n + "q")
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (0, "<1>" * n + "p & " + "<1>" * n + "q")
+
+
+_ONCE_CRASHED = [
+    ["truth", "eval", _nested("(", "0 = 0", ")", 400)],
+    ["truth", "eval", _chain(" & ", "0 = 0", 999)],
+    ["truth", "eval", _chain(" + ", "0", 999) + " = 0"],
+    ["truth", "build-ef", _chain(" | ", "0 = 0", 499)],
+    ["ord", "cnf", _nested("w^(", "1", ")", 500)],
+    ["ord", "cnf", _nested("phi(1,", "0", ")", 400)],
+    ["rc", "derives", _nested("(", "p", ")", 400), "p"],
+    ["rc", "wnf", _nested("(", "p", ")", 3000)],
+    ["rc", "normalize", "<1>" * 1000 + "p & " + "<1>" * 1000 + "q"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONCE_CRASHED, ids=lambda argv: " ".join(argv[:2]))
+def test_inputs_that_once_crashed_end_in_time(capsys, argv):
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code in (0, 1, 2), out[:200]
+
+
 # ---------------------------------------------------------------- fuzzing
 
 _TOKENS = ["w", "phi", "eps", "eps0", "T", "p", "q", "0", "1", "2", "12", "(", ")", "[",
@@ -648,18 +739,44 @@ def _flatten(parts):
     return argv
 
 
+# The families of _NESTING, and runs of diamonds (which open no level), at
+# depths 10-5,000; a <1> run stays at 1,000 for derives, whose closure grows
+# cubically with the model.
+_DEEP = st.one_of(
+    st.tuples(st.sampled_from(list(_NESTING)), st.integers(10, 5000)).map(
+        lambda fd: _NESTING[fd[0]](fd[1])),
+    st.tuples(st.sampled_from(["normalize", "wnf"]), st.integers(10, 5000)).map(
+        lambda cd: ["rc", cd[0], "<1>" * cd[1] + "T"]),
+    st.integers(10, 1000).map(lambda d: ["rc", "derives", "<1>" * d + "T", "<1>T"]),
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_COMMANDS.map(_flatten), st.booleans())
 def test_main_fuzz_exits_0_1_or_2_in_time(argv, as_json):
+    _assert_exits_0_1_or_2_in_time(argv, as_json)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_DEEP, st.booleans())
+def test_main_fuzz_on_deep_nesting(argv, as_json):
+    _assert_exits_0_1_or_2_in_time(argv, as_json)
+
+
+def _assert_exits_0_1_or_2_in_time(argv, as_json):
     if as_json:
         argv.append("--json")
     out = io.StringIO()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)  # hypothesis raises it during a test
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as e:  # argparse's usage error
             code = e.code
+        finally:
+            sys.setrecursionlimit(limit)
     assert time.perf_counter() - start < 5.0, argv
     assert code in (0, 1, 2), argv
     if as_json and out.getvalue():

@@ -18,6 +18,7 @@ from rcworm.ordinal import (
     ZERO,
     Ordinal,
     add,
+    check_summands,
     from_int,
     omega_power,
     phi,
@@ -302,11 +303,20 @@ def test_render_deep_nesting():
 # ------------------------------------------- tokenizer-based reference parser
 
 
+_REF_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^(),\[\]<>&])")
+
+
+def _ref_decimal(tok):
+    n = int(tok) if len(tok.lstrip("0")) <= len(str(MAX_SUMMANDS)) else MAX_SUMMANDS + 1
+    check_summands(n)
+    return n
+
+
 def _ref_tokenize(text):
     tokens = []
     pos = 0
     while pos < len(text):
-        m = syntax._TOKEN.match(text, pos)
+        m = _REF_TOKEN.match(text, pos)
         if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
@@ -360,7 +370,7 @@ class _RefParser:
             raise ParseError("expected an ordinal", self.pos())
         if tok.isdigit():
             self.next()
-            return from_int(syntax._decimal(tok))
+            return from_int(_ref_decimal(tok))
         base = self.ord_base()
         if self.peek() == "*":
             self.next()
@@ -368,7 +378,7 @@ class _RefParser:
             if count is None or not count.isdigit():
                 raise ParseError("expected a count after '*'", self.pos())
             self.next()
-            return Ordinal(base.terms * syntax._decimal(count))
+            return Ordinal(base.terms * _ref_decimal(count))
         return base
 
     def ord_base(self):
@@ -404,7 +414,7 @@ class _RefParser:
             raise ParseError("expected an exponent", self.pos())
         if tok.isdigit():
             self.next()
-            return from_int(syntax._decimal(tok))
+            return from_int(_ref_decimal(tok))
         if tok == "(":
             self.next()
             a = self.ordinal()

@@ -2,7 +2,11 @@
 correctness clauses, and the prenex classifier."""
 
 import gc
+import importlib.util
 import random
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from hypothesis import given, settings
 from conftest import rand_delta0, rand_structure
 from rcworm import hashcons
 from rcworm import truthcore as tc
-from rcworm.errors import NotInFragmentError
+from rcworm.errors import BudgetExceededError, DomainError, NotInFragmentError
 from rcworm.syntax import ParseError
 
 
@@ -542,3 +546,250 @@ def _subformulas(f):
     for part in ("left", "right", "body"):
         if hasattr(f, part):
             yield from _subformulas(getattr(f, part))
+
+
+# --------------------------------------- tokenizer-based reference parser
+#
+# The truth parser as it was before it shared the scanner of rcworm.syntax:
+# the whole text is tokenized up front, and nothing bounds nesting.
+
+_REF_T_TOKEN = re.compile(r"\s*(<=|\d+|[A-Za-z_][A-Za-z0-9_]*|[()+*,.=&|~])")
+
+
+def _ref_t_tokenize(text):
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_T_TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(
+                "unexpected character %r" % stripped[0], len(text) - len(stripped)
+            )
+        out.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return out
+
+
+_REF_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
+class _RefTruthParser:
+    def __init__(self, text):
+        self.tokens = _ref_t_tokenize(text)
+        self.i = 0
+        self.text = text
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def pos(self):
+        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        self.i += 1
+        return tok
+
+    def expect(self, tok):
+        if self.peek() != tok:
+            raise ParseError("expected %r" % tok, self.pos())
+        self.i += 1
+
+    def done(self):
+        if self.peek() is not None:
+            raise ParseError("trailing input", self.pos())
+
+    def formula(self):
+        f = self.conj()
+        while self.peek() == "|":
+            self.next()
+            f = tc.OrF(f, self.conj())
+        return f
+
+    def conj(self):
+        f = self.unit()
+        while self.peek() == "&":
+            self.next()
+            f = tc.AndF(f, self.unit())
+        return f
+
+    def unit(self):
+        tok = self.peek()
+        if tok in ("all", "ex"):
+            self.next()
+            var = self.ident()
+            bound = None
+            if self.peek() == "<=":
+                self.next()
+                bound = self.term()
+            self.expect(".")
+            body = self.formula()
+            if tok == "all":
+                return tc.All(var, body) if bound is None else tc.BoundedAll(var, bound, body)
+            return tc.Ex(var, body) if bound is None else tc.BoundedEx(var, bound, body)
+        if tok in ("neg", "~"):
+            self.next()
+            a = self.unit()
+            if not isinstance(a, tc.Atom):
+                raise ParseError("negation applies to atoms only", self.pos())
+            return tc.NegAtom(a.pred, a.terms)
+        if tok == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        return self.atom()
+
+    def ident(self):
+        tok = self.next()
+        if not re.fullmatch(_REF_NAME, tok) or tok in ("all", "ex", "neg", "S", "exp"):
+            raise ParseError("expected a name", self.pos())
+        return tok
+
+    def atom(self):
+        tok = self.peek()
+        if (
+            tok is not None
+            and re.fullmatch(_REF_NAME, tok)
+            and tok not in ("S", "exp", "all", "ex", "neg")
+            and self.i + 1 < len(self.tokens)
+            and self.tokens[self.i + 1][0] == "("
+        ):
+            pred = self.next()
+            self.expect("(")
+            terms = [self.term()]
+            while self.peek() == ",":
+                self.next()
+                terms.append(self.term())
+            self.expect(")")
+            return tc.Atom(pred, terms)
+        left = self.term()
+        op = self.next()
+        if op not in ("=", "<="):
+            raise ParseError("expected '=' or '<='", self.pos())
+        return tc.Atom(op, (left, self.term()))
+
+    def term(self):
+        t = self.factor()
+        while self.peek() == "+":
+            self.next()
+            t = tc.Plus(t, self.factor())
+        return t
+
+    def factor(self):
+        t = self.prim()
+        while self.peek() == "*":
+            self.next()
+            t = tc.Times(t, self.prim())
+        return t
+
+    def prim(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        if tok.isdigit():
+            self.next()
+            if len(tok.lstrip("0")) > len(str(tc.TRUTH_CAP)):
+                raise BudgetExceededError(
+                    "numeral %s... is above the truth budget of %d" % (tok[:12], tc.TRUTH_CAP)
+                )
+            return tc.numeral(int(tok))
+        if tok in ("S", "exp"):
+            self.next()
+            self.expect("(")
+            t = self.term()
+            self.expect(")")
+            return tc.Succ(t) if tok == "S" else tc.Exp(t)
+        if tok == "(":
+            self.next()
+            t = self.term()
+            self.expect(")")
+            return t
+        if re.fullmatch(_REF_NAME, tok):
+            self.next()
+            return tc.Var(tok)
+        raise ParseError("expected a term", self.pos())
+
+
+def _ref_parse(rule, text):
+    p = _RefTruthParser(text)
+    x = rule(p)
+    p.done()
+    return x
+
+
+def _truth_outcome(parse, text):
+    """("ok", result), or the refusal's type, message and position."""
+    try:
+        return "ok", parse(text)
+    except ParseError as e:
+        return "ParseError", str(e), e.position
+    except DomainError as e:
+        return type(e).__name__, str(e), None
+
+
+def _assert_same_truth_parse(text):
+    """Both parsers give the same object or the same refusal; the shared
+    scanner's "trailing input" also names the token."""
+    kinds = []
+    for parse, rule in ((pf, _RefTruthParser.formula), (pt, _RefTruthParser.term)):
+        got = _truth_outcome(parse, text)
+        want = _truth_outcome(lambda s: _ref_parse(rule, s), text)
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1] is want[1], text
+        elif want[1].startswith("trailing input ("):
+            tok = _REF_T_TOKEN.match(text, want[2]).group(1)
+            assert got == (want[0], "trailing input %r (at position %d)" % (tok, want[2]), want[2]), text
+        else:
+            assert got == want, text
+        kinds.append(want[0] if want[0] != "ParseError" else re.sub(r" '.*| \(at .*", "", want[1]))
+    return kinds
+
+
+def _gen_module():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "known-values.txt"
+_T_MUTATION_CHARS = "()&|+*,.=<~ 01xSPe$é"
+
+
+def test_truth_parse_matches_the_tokenizer_reference():
+    texts = [shlex.split(line)[4] for line in _README.read_text().splitlines()
+             if line.startswith("$ rcworm truth ")]
+    texts += [line.split(" ; ")[1] for line in _FIXTURES.read_text().splitlines()
+              if line.startswith("truth-eval ; ")]
+    assert len(texts) == 11
+    rng = random.Random(6113)
+    texts += [tc.render_formula(rand_delta0(rng, rng.randrange(5))) for _ in range(400)]
+    gen = _gen_module()
+    for i in range(400):
+        shape = gen.SENTENCE_SHAPES[i % len(gen.SENTENCE_SHAPES)]
+        texts.append(gen.sentence_text(gen.rand_sentence(rng, shape)))
+    answers = 0
+    refusals = set()
+    for text in texts:
+        answers += _assert_same_truth_parse(text)[0] == "ok"
+        for _ in range(3):
+            i = rng.randrange(len(text) + 1)
+            roll = rng.random()
+            if roll < 1 / 3 and i < len(text):
+                mutant = text[:i] + text[i + 1:]
+            elif roll < 2 / 3 and i < len(text):
+                mutant = text[:i] + rng.choice(_T_MUTATION_CHARS) + text[i + 1:]
+            else:
+                mutant = text[:i] + rng.choice(_T_MUTATION_CHARS) + text[i:]
+            refusals.update(_assert_same_truth_parse(mutant))
+    assert answers == len(texts)
+    assert {"unexpected character", "unexpected end of input", "expected", "expected a name",
+            "expected a term", "negation applies to atoms only", "trailing input"} <= refusals, refusals
