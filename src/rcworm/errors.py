@@ -41,10 +41,6 @@ class NotVariableFreeError(NotInFragmentError):
     """Operation requires a variable-free formula."""
 
 
-class SearchExhaustedError(DomainError):
-    """A bounded search ran out of budget before reaching an answer."""
-
-
 class OutOfApplicabilityError(DomainError):
     """Requested level is outside a theory's cataloged applicability range."""
 

@@ -18,14 +18,14 @@ ordinal order (derives states why nothing is lost).  Each edge's index set
 is downward closed, so an edge carries one rank and admits the indices of
 rank up to it.  The right formula is then model-checked at the root.
 
-proof_search produces independently checkable certificates built from the
-six primitive rules; a returned derivation is always locally valid, while
-None only means the depth bound or the model budget ran out.
-word_normal_form reads the worm of a variable-free formula off worm order
-types alone, with no model.
+proof_search reads a certificate over the primitive rules off the same
+closure, which records the rule behind each entry (_Extractor); it returns
+None exactly when the sequent is not derivable, and check_derivation checks
+a certificate on its own.  word_normal_form reads the worm of a
+variable-free formula off worm order types alone, with no model.
 
-numpy is imported only inside the three functions that build or read the
-closure matrix (_close, model_check, RcModel.edges), so a process that
+numpy is imported only inside the functions that build or read the closure
+matrix (_close, _holds, RcModel.edges, _Extractor), so a process that
 decides no consequence never loads it.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from itertools import cycle
 
-from .errors import BudgetExceededError, NotVariableFreeError, SearchExhaustedError
+from .errors import BudgetExceededError, NotVariableFreeError
 from .hashcons import Node
 from .ordinal import compare
 from .worm import MAX_DISTINCT_LETTERS, Worm, compare_at, order_type
@@ -225,7 +225,7 @@ class RcModel:
 
 
 def _parts(f):
-    return f.conjuncts if isinstance(f, And) else (f,)
+    return f.conjuncts if isinstance(f, And) else () if f is TOP else (f,)
 
 
 def _indices(f):
@@ -243,15 +243,25 @@ def _indices(f):
 
 def build_minimal_model(f, g=TOP):
     """Closure model of f: one node per diamond occurrence plus the root,
-    closed over the distinct indices of f and g ranked together (_close).
+    closed over the distinct indices of f and g ranked together (_close)."""
+    labels, tree = _seed(f)
+    rank = _ranks([d.index for _, _, d in tree] + _indices(g))
+    matrix = _close(len(labels), [(x, y, rank[d.index]) for x, y, d in tree], len(rank))
+    return RcModel(labels, matrix, rank, f)
+
+
+def _seed(f):
+    """The seeding walk: (labels, tree), where labels[x] is the set of
+    variables at node x and tree lists the (parent, child, diamond) edges.
 
     A diamond equal to a sibling already seeded at the same node adds no
     node, so duplicate conjuncts cost nothing; conjunct order does not change
-    the closure.  Nodes are numbered in preorder, from an explicit stack.
+    the closure.  Nodes are numbered in preorder, from an explicit stack, so
+    tree[i] seeds node i + 1.
     """
     labels = [set()]
     seeded = [set()]  # node -> the diamonds seeded under it
-    edges = []     # (parent, child, index)
+    tree = []
     todo = [(0, iter(_parts(f)))]
     while todo:
         node, rest = todo[-1]
@@ -262,18 +272,16 @@ def build_minimal_model(f, g=TOP):
             labels[node].add(p.name)
         elif isinstance(p, Diam) and p not in seeded[node]:
             seeded[node].add(p)
-            edges.append((node, len(labels), p.index))
+            tree.append((node, len(labels), p))
             todo.append((len(labels), iter(_parts(p.body))))
             labels.append(set())
             seeded.append(set())
         elif isinstance(p, And):
             todo.append((node, iter(p.conjuncts)))  # nested And from un-normalized input
-    rank = _ranks([a for _, _, a in edges] + _indices(g))
-    matrix = _close(len(labels), [(x, y, rank[a]) for x, y, a in edges], len(rank))
-    return RcModel([frozenset(s) for s in labels], matrix, rank, f)
+    return [frozenset(s) for s in labels], tree
 
 
-def _close(n, seeds, k):
+def _close(n, seeds, k, why=None):
     """Least fixpoint of the frame conditions on n nodes, over ranks 1..k.
 
     seeds are (x, y, r) edges.  An edge of rank r stands for the index set
@@ -290,6 +298,19 @@ def _close(n, seeds, k):
     on deep models, and stop after the first pass that leaves the matrix sum
     unchanged.  Updates only raise ranks, so such a pass changed no entry:
     every row's rules held in one unchanging state, which is the fixpoint.
+
+    why, an n x n int array of -1s when given, receives the reason of each
+    entry's last raise: -1 for a seed (never raised), w for transitivity
+    through w (m[x,w] and m[w,y] at least m[x,y]), n + u for pairing from u
+    (m[u,x] above m[x,y], m[u,y] at least it).  One reason per entry is
+    enough to rebuild every entry from the seeds.  Order the entries by
+    final rank, highest first, then by the time of their last raise; every
+    premise of a last raise comes strictly earlier.  A premise that ends at
+    a higher rank is earlier by rank.  A premise that ends at the same rank
+    held that rank already when the entry was raised, so its own last raise
+    came before.  Inside one numpy update the premises are read before the
+    write, and a premise raised in the same update was read below its new
+    rank yet at least the entry's, so it ends at a higher rank.
     """
     import numpy as np
 
@@ -303,8 +324,16 @@ def _close(n, seeds, k):
     for sweep in cycle((range(n - 1, -1, -1), range(n))):
         for x in sweep:
             row = m[x]
-            np.maximum(row, np.minimum(row[:, None], m).max(axis=0), out=row)
-            np.maximum(m, np.minimum(below[row][:, None], row), out=m)
+            via = np.minimum(row[:, None], m)
+            best = via.max(axis=0)
+            if why is not None:
+                up = np.flatnonzero(best > row)
+                why[x, up] = via[:, up].argmax(axis=0)
+            np.maximum(row, best, out=row)
+            pair = np.minimum(below[row][:, None], row)
+            if why is not None:
+                why[pair > m] = n + x
+            np.maximum(m, pair, out=m)
         fresh = int(m.sum(dtype=np.int64))
         if fresh == total:
             return m
@@ -312,14 +341,22 @@ def _close(n, seeds, k):
 
 
 def model_check(model, node, f):
-    """Whether f holds at `node` of the model.
+    """Whether f holds at `node` of the model (_holds).  An index the model
+    did not rank rebuilds it once, over the indices of f as well."""
+    hit = _holds(model, f)
+    if hit is None:
+        return model_check(build_minimal_model(model.formula, f), node, f)
+    return bool(hit[f][node])
 
-    Each distinct subformula of f (one interned object) is evaluated once,
-    after its parts and from an explicit stack, as a boolean vector over all
-    nodes: TOP holds everywhere, a variable where it labels the node, a
-    conjunction where every conjunct holds, and <a>B at x when some edge
-    x -> y admits a (its rank reaches a's) and B holds at y.  An index the
-    model did not rank rebuilds it once, over the indices of f as well.
+
+def _holds(model, f):
+    """Each distinct subformula of f -> the boolean vector of the nodes where
+    it holds, or None when f has an index the model did not rank.
+
+    Each subformula (one interned object) is evaluated once, after its parts
+    and from an explicit stack: TOP holds everywhere, a variable where it
+    labels the node, a conjunction where every conjunct holds, and <a>B at x
+    when some edge x -> y admits a (its rank reaches a's) and B holds at y.
     """
     import numpy as np
 
@@ -347,10 +384,10 @@ def model_check(model, node, f):
         else:
             r = rank.get(g.index)
             if r is None:
-                return model_check(build_minimal_model(model.formula, f), node, f)
+                return None
             hit = (m[:, memo[g.body]] >= r).any(axis=1)
         memo[g] = hit
-    return bool(memo[f][node])
+    return memo
 
 
 def derives(f, g):
@@ -402,343 +439,311 @@ class Derivation:
         return "Derivation(%s, %r)" % (self.rule, self.conclusion)
 
     def to_lines(self):
-        """Serialize: one rule per line, premises referenced by line number."""
+        """Serialize: one rule per line in post-order, premises referenced by
+        line number, from an explicit stack.  Raises BudgetExceededError as
+        soon as the text passes CERTIFICATE_CHARS."""
         from .syntax import render
 
-        lines = []
-
-        def emit(d):
-            refs = [emit(p) for p in d.premises]
-            lines.append(
-                "%d: %s %s ; %s |- %s"
-                % (
-                    len(lines),
-                    d.rule,
-                    ",".join(str(r) for r in refs) or "-",
-                    render(d.conclusion[0]),
-                    render(d.conclusion[1]),
-                )
-            )
-            return len(lines) - 1
-
-        emit(self)
+        lines, refs, size = [], [], 0
+        todo = [(self, False)]
+        while todo:
+            d, ready = todo.pop()
+            if not ready:
+                todo += [(d, True)] + [(p, False) for p in reversed(d.premises)]
+                continue
+            mine = refs[len(refs) - len(d.premises):]
+            del refs[len(refs) - len(d.premises):]
+            line = "%d: %s %s ; %s |- %s" % (len(lines), d.rule, ",".join(map(str, mine)) or "-",
+                                              render(d.conclusion[0]), render(d.conclusion[1]))
+            size += len(line) + 1
+            if size > CERTIFICATE_CHARS:
+                raise BudgetExceededError(
+                    "certificate text passes %d characters (CERTIFICATE_CHARS)" % CERTIFICATE_CHARS)
+            refs.append(len(lines))
+            lines.append(line)
         return lines
 
 
 def check_derivation(d):
-    """Local validity of every step; raises ValueError on the first break."""
-    lhs, rhs = d.conclusion
-    rule = d.rule
-    if rule == "ax-refl":
-        _expect(not d.premises and lhs == rhs, d)
-    elif rule == "ax-top":
-        _expect(not d.premises and rhs == TOP, d)
-    elif rule == "ax-proj":
-        _expect(
-            not d.premises
-            and isinstance(lhs, And)
-            and any(c == rhs for c in lhs.conjuncts),
-            d,
-        )
-    elif rule == "and-intro":
-        _expect(
-            isinstance(rhs, And)
-            and len(d.premises) == len(rhs.conjuncts)
-            and all(
-                p.conclusion == (lhs, c) for p, c in zip(d.premises, rhs.conjuncts)
-            ),
-            d,
-        )
-    elif rule == "cut":
-        _expect(
-            len(d.premises) == 2
-            and d.premises[0].conclusion[0] == lhs
-            and d.premises[0].conclusion[1] == d.premises[1].conclusion[0]
-            and d.premises[1].conclusion[1] == rhs,
-            d,
-        )
-    elif rule == "mono":
-        _expect(
-            len(d.premises) == 1
-            and isinstance(lhs, Diam)
-            and isinstance(rhs, Diam)
-            and lhs.index == rhs.index
-            and d.premises[0].conclusion == (lhs.body, rhs.body),
-            d,
-        )
-    elif rule == "ax-absorb":
-        _expect(
-            not d.premises
-            and isinstance(lhs, Diam)
-            and isinstance(lhs.body, Diam)
-            and lhs.index == lhs.body.index
-            and rhs == lhs.body,
-            d,
-        )
-    elif rule == "ax-lower":
-        _expect(
-            not d.premises
-            and isinstance(lhs, Diam)
-            and isinstance(rhs, Diam)
-            and lhs.body == rhs.body
-            and compare(rhs.index, lhs.index) < 0,
-            d,
-        )
-    elif rule == "ax-pair":
-        ok = (
-            not d.premises
-            and isinstance(lhs, And)
-            and len(lhs.conjuncts) == 2
-            and isinstance(lhs.conjuncts[0], Diam)
-            and isinstance(lhs.conjuncts[1], Diam)
-            and isinstance(rhs, Diam)
-            and rhs.index == lhs.conjuncts[0].index
-            and compare(lhs.conjuncts[1].index, lhs.conjuncts[0].index) < 0
-            and rhs.body == conj((lhs.conjuncts[0].body, lhs.conjuncts[1]))
-        )
-        _expect(ok, d)
-    else:
-        raise ValueError("unknown rule %r" % rule)
-    for p in d.premises:
-        check_derivation(p)
+    """Local validity of every step, in preorder from an explicit stack (a
+    step that several premises share is checked once); raises ValueError on
+    the first break."""
+    todo, seen = [d], set()
+    while todo:
+        d = todo.pop()
+        if id(d) not in seen:
+            seen.add(id(d))
+            if not _valid(d):
+                raise ValueError("invalid %s step concluding %r" % (d.rule, d.conclusion))
+            todo += reversed(d.premises)
     return True
 
 
-def _expect(ok, d):
-    if not ok:
-        raise ValueError("invalid %s step concluding %r" % (d.rule, d.conclusion))
+def _valid(d):
+    (lhs, rhs), rule, ps = d.conclusion, d.rule, d.premises
+    if rule == "ax-refl":
+        return not ps and lhs == rhs
+    if rule == "ax-top":
+        return not ps and rhs == TOP
+    if rule == "ax-proj":
+        return not ps and isinstance(lhs, And) and any(c == rhs for c in lhs.conjuncts)
+    if rule == "and-intro":
+        return (isinstance(rhs, And) and len(ps) == len(rhs.conjuncts)
+                and all(p.conclusion == (lhs, c) for p, c in zip(ps, rhs.conjuncts)))
+    if rule == "cut":
+        return (len(ps) == 2 and ps[0].conclusion[0] == lhs
+                and ps[0].conclusion[1] == ps[1].conclusion[0] and ps[1].conclusion[1] == rhs)
+    if rule == "mono":
+        return (len(ps) == 1 and isinstance(lhs, Diam) and isinstance(rhs, Diam)
+                and lhs.index == rhs.index and ps[0].conclusion == (lhs.body, rhs.body))
+    if rule == "ax-absorb":
+        return (not ps and isinstance(lhs, Diam) and isinstance(lhs.body, Diam)
+                and lhs.index == lhs.body.index and rhs == lhs.body)
+    if rule == "ax-lower":
+        return (not ps and isinstance(lhs, Diam) and isinstance(rhs, Diam)
+                and lhs.body == rhs.body and compare(rhs.index, lhs.index) < 0)
+    if rule == "ax-pair":
+        return (not ps and isinstance(lhs, And) and len(lhs.conjuncts) == 2
+                and all(isinstance(c, Diam) for c in lhs.conjuncts) and isinstance(rhs, Diam)
+                and rhs.index == lhs.conjuncts[0].index
+                and compare(lhs.conjuncts[1].index, lhs.conjuncts[0].index) < 0
+                and rhs.body == conj((lhs.conjuncts[0].body, lhs.conjuncts[1])))
+    raise ValueError("unknown rule %r" % rule)
 
 
-def _cut(d1, d2):
-    return Derivation("cut", (d1.conclusion[0], d2.conclusion[1]), (d1, d2))
-
-
-def _restructure(src, dst):
-    """Proof of src |- dst when dst is src's conjunction reordered/deduped."""
-    if src == dst:
-        return Derivation("ax-refl", (src, dst))
-    if isinstance(dst, And):
-        return Derivation(
-            "and-intro",
-            (src, dst),
-            tuple(
-                Derivation("ax-refl", (src, c)) if src == c else Derivation("ax-proj", (src, c))
-                for c in dst.conjuncts
-            ),
-        )
-    return Derivation("ax-proj", (src, dst))
-
-
-# Model nodes one proof_search may build.  Self-strengthening doubles the left
-# side per step: searches that find a certificate build under a hundred nodes,
-# and the ones that would never end pass 3,000 within two seconds.
-SEARCH_MODEL_NODES = 1000
+# The most characters of certificate text: to_lines stops past them, and the
+# extractor after CERTIFICATE_CHARS // 20 derivation nodes, since no line is
+# shorter than 20 characters.  Text grows as lines times formula length: a run
+# of 50 <1>s against <1>p prints 0.75 MB, a run of 200 42 MB.
+CERTIFICATE_CHARS = 10 ** 6
 
 
 def proof_search(f, g, max_depth=24):
-    """Bounded goal-directed search; None means a bound ran out, nothing more:
-    max_depth, or SEARCH_MODEL_NODES across the models built to vet subgoals.
+    """A certificate of normalize(f) |- normalize(g), read off the closure
+    model that decides the sequent (_Extractor), or None exactly when f does
+    not derive g.  max_depth bounds nothing; it is kept for callers that
+    pass it.  Raises BudgetExceededError past CERTIFICATE_CHARS // 20
+    derivation nodes."""
+    return _Extractor(normalize(f), normalize(g)).certificate()
 
-    Every subgoal is first vetted against the closure-model decision procedure,
-    so underivable branches die immediately and only true sequents are explored.
-    Every subgoal's indices come from f and g, so each vetting model is built
-    over the indices of both and never needs a rebuild.  The certificate that
-    comes back never depends on that vetting; it checks on its own via
-    check_derivation.
+
+class _Extractor:
+    """One certificate of f |- g, read off the closure model of f.
+
+    Node x keeps its conjuncts in parts[x], and its body is their conj; its
+    child y is the conjunct parts[x][pos[y]] = <c>body(y), c the index that
+    seeded y.  A step proves F |- F' for an F' with one more conjunct at one
+    node: and-intro there (ax-proj for each old conjunct, the new one's proof
+    last), lifted to the root by mono and and-intro.  A balanced tree of cuts
+    chains the steps and a last proof of g.  Two lemmas recurse on the reason
+    _close recorded for the entry (x, y):
+
+      E(x, y, t, src): y's body embeds src, which is H or t = <a>H, and
+          (x, y) admits a; adds t at x.  Seed: ax-proj to <c>body(y), mono,
+          ax-lower to a, and ax-absorb when src is t.  Transitivity through
+          w: E(w, y, t, src), E(x, w, t, t).  Pairing from u: E(u, y, t,
+          src), P(u, x, t).
+      P(x, y, t): x embeds t = <b>G, and (x, y) admits an index above b;
+          adds t to y's body.  Seed: ax-pair at x appends <c>(body(y) & t),
+          which y stands for from then on.  Transitivity through w: P(x, w,
+          t), P(w, y, t).  Pairing from u: E(u, x, t, t), P(u, y, t).
+
+    Premises come strictly earlier in the order of _close's docstring, so
+    the recursion ends.  A walk down g picks each diamond's witness from the
+    node vectors of _holds and calls E once the witness embeds the body.  A
+    lemma whose node already embeds its conclusion does nothing, and every
+    added conjunct is a diamond subformula of g, so there are at most
+    nodes x (diamond subformulas of g) steps.  Embedded, not literally
+    present, since a later step grows a conjunct an earlier test matched.
+    Pending lemmas wait on a stack, so nothing recurses per node or diamond.
     """
-    f = normalize(f)
-    g = normalize(g)
-    scope = conj((f, g))
-    proven = {}
-    failed = {}
-    models = {}
-    sem = {}
-    spent = 0
 
-    def holds(lhs, rhs, key):
-        nonlocal spent
-        hit = sem.get(key)
-        if hit is None:
-            m = models.get(key[0])
-            if m is None:
-                spent += len(_indices(lhs))
-                if spent > SEARCH_MODEL_NODES:
-                    raise SearchExhaustedError
-                m = build_minimal_model(lhs, scope)
-                models[key[0]] = m
-            hit = model_check(m, 0, rhs)
-            sem[key] = hit
-        return hit
+    def __init__(self, f, g):
+        import numpy as np
 
-    def search(lhs, rhs, depth):
-        key = (lhs, rhs)
-        hit = proven.get(key)
-        if hit is not None:
-            return hit
-        if not holds(lhs, rhs, key):
+        labels, tree = _seed(f)
+        self.n, self.g = len(labels), g
+        self.rank = _ranks([d.index for _, _, d in tree] + _indices(g))
+        self.why = np.full((self.n, self.n), -1, dtype=np.intp)
+        seeds = [(x, y, self.rank[d.index]) for x, y, d in tree]
+        self.matrix = _close(self.n, seeds, len(self.rank), self.why)
+        self.sat = _holds(RcModel(labels, self.matrix, self.rank, f), g)
+        self.parts = [list(_parts(f))] + [list(_parts(d.body)) for _, _, d in tree]
+        self.body = [f] + [d.body for _, _, d in tree]
+        self.parent = [None] + [x for x, _, _ in tree]
+        self.index = [None] + [d.index for _, _, d in tree]
+        self.pos = [None] + [self.parts[x].index(d) for x, _, d in tree]
+        self.embedded = {}  # (b, s) -> a proof of b |- s when b embeds s, else None
+        self.route = {}     # top diamond of g -> (root's child, src) of its last E
+        self.steps, self.made = [], 0
+
+    def certificate(self):
+        if not self.sat[self.g][0]:
             return None
-        if failed.get(key, -1) >= depth:
-            return None
-        d = attempt(lhs, rhs, depth)
-        if d is not None:
-            proven[key] = d
-        elif failed.get(key, -1) < depth:
-            failed[key] = depth
-        return d
+        todo = [(self.hold, (0, self.g))]
+        while todo:
+            lemma, args = todo.pop()
+            todo += reversed(lemma(*args))
+        items = self.steps + [self.last()]
+        return self.chain(items, 0, len(items))
 
-    def attempt(lhs, rhs, depth):
-        if rhs == TOP:
-            return Derivation("ax-top", (lhs, TOP))
-        if lhs == rhs:
-            return Derivation("ax-refl", (lhs, rhs))
-        if depth <= 0:
-            return None
-        if isinstance(rhs, And):
-            subs = []
-            for c in rhs.conjuncts:
-                s = search(lhs, c, depth - 1)
-                if s is None:
-                    return None
-                subs.append(s)
-            return Derivation("and-intro", (lhs, rhs), subs)
-        if isinstance(lhs, And):
-            for c in lhs.conjuncts:
-                s = search(c, rhs, depth - 1)
-                if s is not None:
-                    return _cut(Derivation("ax-proj", (lhs, c)), s)
-            d = _pair_moves(lhs, rhs, depth)
-            if d is not None:
-                return d
-        if isinstance(lhs, Diam):
-            d = _diam_moves(lhs, rhs, depth)
-            if d is not None:
-                return d
-        return None
+    def hold(self, y, s):
+        """Make y's body embed s, which holds at y in the model."""
+        import numpy as np
 
-    def _diam_moves(lhs, rhs, depth):
-        if not isinstance(rhs, Diam):
-            return None
-        c = compare(rhs.index, lhs.index)
-        if c > 0:
-            return None  # indexes only ever drop
-        if c == 0:
-            s = search(lhs.body, rhs.body, depth - 1)
-            if s is not None:
-                return Derivation("mono", (lhs, rhs), (s,))
-        else:
-            # lower the outer index first, then go monotone
-            mid = Diam(rhs.index, lhs.body)
-            s = search(lhs.body, rhs.body, depth - 1)
-            if s is not None:
-                return _cut(
-                    Derivation("ax-lower", (lhs, mid)),
-                    Derivation("mono", (mid, rhs), (s,)),
-                )
-        # unfold: prove the whole goal inside, then absorb the double diamond
-        s = search(lhs.body, rhs, depth - 1)
-        if s is not None:
-            outer = Diam(lhs.index, rhs)
-            d = Derivation("mono", (lhs, outer), (s,))
-            if lhs.index != rhs.index:
-                mid = Diam(rhs.index, rhs)
-                d = _cut(d, Derivation("ax-lower", (outer, mid)))
-                outer = mid
-            return _cut(d, Derivation("ax-absorb", (outer, rhs)))
-        # self-strengthening: <a>X |- <a>(X & <b>X) for b < a from the goal's indexes
-        cands = []
-        seen = set()
-        for b in _indices(rhs):
-            if compare(b, lhs.index) < 0 and b not in seen:
-                seen.add(b)
-                cands.append(b)
-        for b in cands:
-            lowered = Diam(b, lhs.body)
-            raw_body = conj((lhs.body, lowered))
-            stronger = Diam(lhs.index, normalize(raw_body))
-            s = search(stronger, rhs, depth - 1)
-            if s is not None:
-                pair_lhs = And((lhs, lowered))
-                steps = _cut(
-                    Derivation(
-                        "and-intro",
-                        (lhs, pair_lhs),
-                        (
-                            Derivation("ax-refl", (lhs, lhs)),
-                            Derivation("ax-lower", (lhs, lowered)),
-                        ),
-                    ),
-                    Derivation("ax-pair", (pair_lhs, Diam(lhs.index, raw_body))),
-                )
-                if raw_body != stronger.body:
-                    steps = _cut(
-                        steps,
-                        Derivation(
-                            "mono",
-                            (Diam(lhs.index, raw_body), stronger),
-                            (_restructure(raw_body, stronger.body),),
-                        ),
-                    )
-                return _cut(steps, s)
-        return None
+        out = []
+        for c in _parts(s):
+            if isinstance(c, Diam) and not self.embedding(self.body[y], c):
+                z = int(np.flatnonzero((self.matrix[y] >= self.rank[c.index]) & self.sat[c.body])[0])
+                out += [(self.hold, (z, c.body)), (self.lemma_e, (y, z, c, c.body, y == 0))]
+        return out
 
-    def _pair_moves(lhs, rhs, depth):
-        if not isinstance(rhs, Diam):
-            return None
-        parts = lhs.conjuncts
-        for i, ci in enumerate(parts):
-            if not isinstance(ci, Diam):
-                continue
-            for j, cj in enumerate(parts):
-                if i == j or not isinstance(cj, Diam):
-                    continue
-                if compare(cj.index, ci.index) >= 0:
-                    continue
-                merged = Diam(ci.index, conj((ci.body, cj)))
-                norm_merged = normalize(merged)
-                if norm_merged in parts:
-                    continue
-                grown = normalize(conj(parts + (norm_merged,)))
-                s = search(grown, rhs, depth - 1)
-                if s is None:
-                    continue
-                pair_lhs = And((ci, cj))
-                pair_step = _cut(
-                    Derivation(
-                        "and-intro",
-                        (lhs, pair_lhs),
-                        (
-                            Derivation("ax-proj", (lhs, ci)),
-                            Derivation("ax-proj", (lhs, cj)),
-                        ),
-                    ),
-                    Derivation("ax-pair", (pair_lhs, merged)),
-                )
-                if merged != norm_merged:
-                    pair_step = _cut(
-                        pair_step,
-                        Derivation(
-                            "mono",
-                            (merged, norm_merged),
-                            (_restructure(merged.body, norm_merged.body),),
-                        ),
-                    )
-                assert isinstance(grown, And)
-                intro = []
-                for c in grown.conjuncts:
-                    if c is norm_merged:
-                        intro.append(pair_step)
-                    else:
-                        intro.append(Derivation("ax-proj", (lhs, c)))
-                return _cut(
-                    Derivation("and-intro", (lhs, grown), intro),
-                    s,
-                )
-        return None
+    def lemma_e(self, x, y, t, src, last=False):
+        """E; for a top diamond of g (last), its seed step is left to last()."""
+        if self.embedding(self.body[x], t):
+            return ()
+        r = int(self.why[x, y])
+        if r < 0 and last:
+            self.route[t] = (y, src)
+        elif r < 0:
+            self.add(x, t, self.through(x, y, t, src))
+        elif r < self.n:
+            return [(self.lemma_e, (r, y, t, src)), (self.lemma_e, (x, r, t, t, last))]
+        else:  # no edge enters the root, so a last E has no pairing reason
+            return [(self.lemma_e, (r - self.n, y, t, src)), (self.lemma_p, (r - self.n, x, t))]
+        return ()
 
-    try:
-        return search(f, g, max_depth)
-    except SearchExhaustedError:
-        return None
+    def lemma_p(self, x, y, t):
+        if self.embedding(self.body[y], t):
+            return ()
+        r = int(self.why[x, y])
+        if r < 0:
+            self.pair(x, y, t)
+            return ()
+        if r < self.n:
+            return [(self.lemma_p, (x, r, t)), (self.lemma_p, (r, y, t))]
+        return [(self.lemma_e, (r - self.n, x, t, t)), (self.lemma_p, (r - self.n, y, t))]
+
+    def add(self, x, t, proof):
+        """Append t to x's conjuncts (proof: body(x) |- t) and record the
+        step, lifted to the root."""
+        old = self.body[x]
+        self.parts[x].append(t)
+        new = self.body[x] = conj(self.parts[x])
+        step = self.rule("and-intro", old, new, *[self.proj(old, c) for c in self.parts[x][:-1]], proof)
+        while x:
+            p, i = self.parent[x], self.pos[x]
+            was, now = self.parts[p][i], Diam(self.index[x], new)
+            step, old = self.rule("mono", was, now, step), self.body[p]
+            self.parts[p][i] = now
+            new = self.body[p] = conj(self.parts[p])
+            if old is not was:
+                step = self.rule("and-intro", old, new, *[
+                    self.via(old, was, step) if j == i else self.proj(old, c)
+                    for j, c in enumerate(self.parts[p])])
+            x = p
+        self.steps.append(step)
+
+    def pair(self, x, y, t):
+        k = self.parts[x][self.pos[y]]
+        both = And((k, t))
+        self.parts[y].append(t)
+        self.body[y] = conj(self.parts[y])
+        grown = Diam(self.index[y], self.body[y])
+        intro = self.rule("and-intro", self.body[x], both,
+                          self.proj(self.body[x], k), self.embedding(self.body[x], t))
+        self.add(x, grown, self.cut(intro, self.rule("ax-pair", both, grown)))
+        self.pos[y] = len(self.parts[x]) - 1
+
+    def through(self, x, y, t, src):
+        """body(x) |- t through x's conjunct for y, whose body embeds src:
+        mono, ax-lower and ax-absorb, identity steps dropped."""
+        k, c, a = self.parts[x][self.pos[y]], self.index[y], t.index
+        chain = [self.rule("mono", k, Diam(c, src), self.embedding(self.body[y], src))
+                 ] if self.body[y] is not src else []
+        if c is not a:
+            chain.append(self.rule("ax-lower", Diam(c, src), Diam(a, src)))
+        if src is t:
+            chain.append(self.rule("ax-absorb", Diam(a, t), t))
+        return self.via(self.body[x], k, self.chain(chain, 0, len(chain)) if chain
+                        else self.rule("ax-refl", k, k))
+
+    def last(self):
+        """F |- g: a variable by ax-proj; a diamond K by cut(ax-proj F |- K',
+        d), where K' is the first conjunct of F that embeds K (d is mono, or
+        ax-refl when K' is K) or else the end of K's route (through); the
+        ax-proj is dropped when F is K'."""
+        f, proofs = self.body[0], []
+        for k in _parts(self.g):
+            c = next((c for c in self.parts[0] if c is k or isinstance(c, Diam) and isinstance(
+                k, Diam) and c.index is k.index and self.embedding(c.body, k.body)), None)
+            if isinstance(k, Var):
+                proofs.append(self.proj(f, k))
+            elif c is None:
+                y, src = self.route[k]
+                proofs.append(self.through(0, y, k, src))
+            else:
+                proofs.append(self.via(f, c, self.rule("ax-refl", k, k) if c is k else
+                                       self.rule("mono", c, k, self.embedding(c.body, k.body))))
+        if isinstance(self.g, And):
+            return self.rule("and-intro", f, self.g, *proofs)
+        return proofs[0] if proofs else self.rule("ax-top", f, TOP)
+
+    def embedding(self, b, s):
+        """A proof of b |- s by ax-proj and mono when b embeds s, else None:
+        each conjunct of s is a conjunct of b, or a diamond whose body some
+        conjunct of b with its index embeds.  Memoized on the pair, and each
+        pair evaluated after its inner pairs, from a stack."""
+        todo = [(b, s)]
+        while todo:
+            key = todo[-1]
+            have = _parts(key[0])
+            fresh = [(d.body, c.body) for c in _parts(key[1]) if c not in have and isinstance(c, Diam)
+                     for d in have if isinstance(d, Diam) and d.index is c.index
+                     and (d.body, c.body) not in self.embedded]
+            if key in self.embedded:
+                todo.pop()
+            elif fresh:
+                todo += fresh
+            else:
+                self.embedded[todo.pop()] = self._embed(*key)
+        return self.embedded[(b, s)]
+
+    def _embed(self, b, s):
+        if b is s or s is TOP:
+            return self.rule("ax-refl" if b is s else "ax-top", b, s)
+        have, proofs = _parts(b), []
+        for c in _parts(s):
+            d = c if c in have else next((d for d in have if isinstance(c, Diam) and isinstance(d, Diam)
+                                          and d.index is c.index and self.embedded[(d.body, c.body)]), None)
+            if d is None:
+                return None
+            proofs.append(self.proj(b, c) if d is c else
+                          self.via(b, d, self.rule("mono", d, c, self.embedded[(d.body, c.body)])))
+        return self.rule("and-intro", b, s, *proofs) if isinstance(s, And) else proofs[0]
+
+    def rule(self, name, lhs, rhs, *premises):
+        self.made += 1
+        if self.made > CERTIFICATE_CHARS // 20:
+            raise BudgetExceededError("certificate passes %d derivation nodes (CERTIFICATE_CHARS // 20)"
+                                      % (CERTIFICATE_CHARS // 20))
+        return Derivation(name, (lhs, rhs), premises)
+
+    def cut(self, d1, d2):
+        return self.rule("cut", d1.conclusion[0], d2.conclusion[1], d1, d2)
+
+    def proj(self, b, c):
+        return self.rule("ax-refl" if b is c else "ax-proj", b, c)
+
+    def via(self, b, k, d):
+        """b |- the right side of d, where d starts at b's conjunct k."""
+        return d if b is k else self.cut(self.proj(b, k), d)
+
+    def chain(self, items, lo, hi):
+        """Consecutive sequents items[lo:hi] joined by a balanced tree of cuts."""
+        if hi - lo == 1:
+            return items[lo]
+        return self.cut(self.chain(items, lo, (lo + hi) // 2), self.chain(items, (lo + hi) // 2, hi))
 
 
 # ------------------------------------------------------- word normal forms

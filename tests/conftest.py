@@ -6,6 +6,7 @@ builders for the counted randomized runs in the acceptance tests.
 
 import random
 import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -22,6 +23,9 @@ from rcworm.ordinal import (
 from rcworm.worm import Worm
 from rcworm import rc
 from rcworm import truthcore as tc
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's formula generator)
 
 
 # Python's default recursion limit, what a command-line process gets.
@@ -200,3 +204,19 @@ def rand_structure(rng, top=8):
         }
         preds[name] = unary | binary
     return tc.FiniteStructure(preds)
+
+
+def large_pairs(seed):
+    """Texts (lhs, rhs, derivable) from the derive-large generator at its
+    size: 200-node formulas over 50 transfinite indices.  Half the pairs
+    weaken the left side; the other half plant an index above every index on
+    it."""
+    rng = random.Random(seed)
+    pool = set()
+    while len(pool) < 50:
+        a = gen.rand_ord(rng)
+        if a[0][0] > 0:
+            pool.add(a)
+    while True:
+        lhs, rhs, want = gen.derive_pair(rng, 200, sorted(pool), lambda h: gen.CEILING)
+        yield gen.formula_text(lhs, gen.ord_text), gen.formula_text(rhs, gen.ord_text), want

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rcworm
-from conftest import DEFAULT_RECURSION_LIMIT, ordinals, rand_delta0, rc_formulas, worms
+from conftest import DEFAULT_RECURSION_LIMIT, large_pairs, ordinals, rand_delta0, rc_formulas, worms
 from rcworm.cli import CODE_BIT_CAP, main, run_fixture_file
 from rcworm import rc
 from rcworm.ordinal import godel_code
@@ -99,7 +99,10 @@ def test_fgh_rejects_a_negative_argument(capsys):
         assert "expected a natural number" in capsys.readouterr().err
 
 
-# The README's certificate, which the model budget of proof_search leaves as it was.
+# The README's certificate.  cli-batch pins its first and last lines; the
+# extractor's step shapes (an added conjunct last in its and-intro, ax-pair
+# keeping the old conjunct, cut(ax-proj, d) for each conjunct of the goal)
+# are the ones that print it.
 _README_CERTIFICATE = """true
 0: ax-proj - ; <1>q & <2>p |- <1>q
 1: ax-proj - ; <1>q & <2>p |- <2>p
@@ -120,13 +123,29 @@ def test_readme_certificate(capsys):
     assert (code, out) == (0, _README_CERTIFICATE)
 
 
-def test_certificate_search_ends_within_its_model_budget(capsys):
-    # self-strengthening doubles the left side at every step; the search
-    # used to run for minutes here
+def test_certificate_for_a_sequent_the_bounded_search_missed(capsys):
+    # self-strengthening doubled the left side at every step, and the search
+    # gave up here; the certificate is read off the closure instead
     start = time.perf_counter()
     code, out = run(capsys, "rc", "derives", "--certificate", "<eps0>r", "<0><1>r")
     assert time.perf_counter() - start < 5.0
-    assert code == 1 and out.startswith("error:") and "model-node budget" in out
+    assert code == 0 and out.splitlines()[-1].endswith(" ; <eps0>r |- <0><1>r")
+    d = rc.proof_search(parse_formula("<eps0>r"), parse_formula("<0><1>r"))
+    assert rc.check_derivation(d) and d.to_lines() == out.splitlines()[1:]
+
+
+def test_certificates_stop_at_the_text_budget(capsys):
+    # certificate text grows as lines times formula length: past the cap, a
+    # <1> run of 200 prints 42 MB and this derive-large pair 53 MB
+    lhs, rhs, _ = next(p for p in large_pairs(2040) if p[2])
+    for args in (["<1>" * 400 + "p", "<1>p"], [lhs, rhs]):
+        start = time.perf_counter()
+        code, out = run(capsys, "rc", "derives", "--certificate", *args)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out.startswith("error: certificate") and "CERTIFICATE_CHARS" in out
+        assert run(capsys, "rc", "derives", *args) == (0, "true")
+    code, out = run(capsys, "rc", "derives", "--certificate", "<1>" * 30 + "p", "<1>p")
+    assert code == 0 and len(out.splitlines()) > 500 and len(out) < rc.CERTIFICATE_CHARS
 
 
 def test_rc_derives_large_finite_index(capsys):

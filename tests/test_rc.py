@@ -8,9 +8,9 @@ node-by-node model check, the normalize that keys every subformula from
 scratch) and the timing gates.
 """
 
+import itertools
 import random
 import statistics
-import sys
 import time
 from functools import cmp_to_key
 from pathlib import Path
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import SMALL_ORDINALS, rand_formula, rand_ordinal, rc_formulas
+from conftest import SMALL_ORDINALS, gen, large_pairs, rand_formula, rand_ordinal, rc_formulas
 from rcworm import ordinal, rc
 from rcworm.errors import BudgetExceededError, NotVariableFreeError
 from rcworm.ordinal import (
@@ -27,9 +27,6 @@ from rcworm.ordinal import (
 )
 from rcworm.syntax import parse_formula, parse_worm, render
 from rcworm.worm import MAX_DISTINCT_LETTERS, Worm
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import gen  # noqa: E402  (the benchmark's formula generator)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "known-values.txt"
 
@@ -634,21 +631,46 @@ def test_derives_matches_reference_on_a_seeded_corpus():
 
 
 def test_derives_matches_reference_on_benchmark_pairs():
-    # the derive-large generator at its size: half the pairs plant an index
-    # above every index on the left
-    rng = random.Random(2031)
-    pool = set()
-    while len(pool) < 50:
-        a = gen.rand_ord(rng)
-        if a[0][0] > 0:
-            pool.add(a)
     answers = []
-    for _ in range(2):
-        lhs, rhs, want = gen.derive_pair(rng, 200, sorted(pool), lambda h: gen.CEILING)
-        lhs, rhs = (f(gen.formula_text(h, gen.ord_text)) for h in (lhs, rhs))
+    for lhs, rhs, want in itertools.islice(large_pairs(2031), 2):
+        lhs, rhs = f(lhs), f(rhs)
         assert rc.derives(lhs, rhs) is want is reference_derives(lhs, rhs)
         answers.append(want)
     assert sorted(answers) == [False, True]
+
+
+def test_close_records_a_reason_that_holds_in_the_closed_matrix():
+    # Recording changes no entry, and every entry's recorded reason holds in
+    # the final matrix: a seed is a tree edge at its seed rank; transitivity
+    # through w has both premises at least the entry; pairing from u has
+    # (u, x) above it and (u, y) at least it.  Only the matrix is read here,
+    # not the certificates built from the reasons.
+    import numpy as np
+
+    kinds = set()
+    for lhs, rhs, _ in itertools.islice(large_pairs(2032), 4):
+        labels, tree = rc._seed(rc.normalize(f(lhs)))
+        rank = rc._ranks([d.index for _, _, d in tree] + rc._indices(f(rhs)))
+        seeds = [(x, y, rank[d.index]) for x, y, d in tree]
+        n = len(labels)
+        why = np.full((n, n), -1, dtype=np.intp)
+        m = rc._close(n, seeds, len(rank), why)
+        assert (m == rc._close(n, seeds, len(rank))).all()
+        m = m.astype(np.int64)
+        seeded = np.zeros_like(m)
+        for x, y, r in seeds:
+            seeded[x, y] = r
+        x, y = np.nonzero(m)
+        v, r = m[x, y], why[x, y]
+        seed, pair = r < 0, r >= n
+        trans = ~seed & ~pair
+        assert (seeded[x, y][seed] == v[seed]).all()
+        w = r[trans]
+        assert (m[x[trans], w] >= v[trans]).all() and (m[w, y[trans]] >= v[trans]).all()
+        u = r[pair] - n
+        assert (m[u, x[pair]] > v[pair]).all() and (m[u, y[pair]] >= v[pair]).all()
+        kinds |= {k for k, hit in (("seed", seed), ("trans", trans), ("pair", pair)) if hit.any()}
+    assert kinds == {"seed", "trans", "pair"}
 
 
 def relabel(g, sigma):
@@ -780,6 +802,79 @@ def test_proof_search_certificates_check_and_conclude():
         assert d is not None, (lhs, rhs)
         assert rc.check_derivation(d)
         assert d.conclusion == (rc.normalize(f(lhs)), rc.normalize(f(rhs)))
+
+
+def size_bound(lhs, rhs):
+    """(n d + 1) (D + 1) (W + |g| + 4) certificate lines for f |- g: n model
+    nodes, d distinct diamond subformulas of g, D model depth, W the widest
+    conjunction of f, |g| the nodes of g (f and g normalized).  At most n d
+    steps add a conjunct, each lifted through D + 1 levels."""
+    def walk(h):
+        todo = [h]
+        while todo:
+            h = todo.pop()
+            yield h
+            todo += rc._children(h)
+
+    labels, tree = rc._seed(lhs)
+    depth = [0]
+    for x, _, _ in tree:
+        depth.append(depth[x] + 1)
+    d = len({h for h in walk(rhs) if isinstance(h, rc.Diam)})
+    w = max([len(h.conjuncts) for h in walk(lhs) if isinstance(h, rc.And)] + [1])
+    return (len(labels) * d + 1) * (max(depth) + 1) * (w + sum(1 for _ in walk(rhs)) + 4)
+
+
+def assert_certified(lhs, rhs):
+    """proof_search certifies f |- g exactly when f derives g; a certificate
+    checks, concludes the normalized sequent and keeps to size_bound."""
+    d = rc.proof_search(lhs, rhs)
+    assert (d is not None) is rc.derives(lhs, rhs), (lhs, rhs)
+    if d is not None:
+        lhs, rhs = rc.normalize(lhs), rc.normalize(rhs)
+        assert rc.check_derivation(d) and d.conclusion == (lhs, rhs)
+        assert len(d.to_lines()) <= size_bound(lhs, rhs), (lhs, rhs)
+    return d
+
+
+def test_every_derivable_pair_gets_a_certificate():
+    rng = random.Random(2034)
+    indices = [from_int(k) for k in range(4)] + [OMEGA, add(OMEGA, ONE)]
+    certified = 0
+    for _ in range(3000):
+        lhs = rand_formula(rng, rng.randint(1, 12), indices)
+        for _ in range(2):
+            certified += assert_certified(lhs, rand_formula(rng, rng.randint(1, 6), indices)) is not None
+    assert certified > 1000
+    for k in range(10, 51, 10):
+        assert assert_certified(f("<1>" * k + "p"), f("<1>p"))
+
+
+def test_every_pair_of_the_benchmark_certificate_pass_gets_a_certificate():
+    # the derivable pairs a traced queries-small run certifies, five seeds
+    import workloads
+
+    for seed in (1, 2, 3, 9101, 9102):
+        wl = workloads.QueriesSmall(seed, None)
+        rng = gen.workload_rng(wl.name + ":cert", seed)
+        for _ in range(workloads.CERT_WINDOW):
+            lhs, rhs = map(f, wl.draw_derive(rng, want=True).data)
+            assert assert_certified(lhs, rhs)
+
+
+def test_checker_and_serializer_walk_deep_derivations():
+    # 2,000 nested steps at the default recursion limit, numbered in post-order
+    p = f("p")
+    d = chain = rc.Derivation("ax-refl", (p, p))
+    for _ in range(2000):
+        chain = rc.Derivation("mono", (rc.Diam(ONE, chain.conclusion[0]),) * 2, (chain,))
+        d = rc.Derivation("cut", (p, p), (d, rc.Derivation("ax-refl", (p, p))))
+    assert rc.check_derivation(chain) and rc.check_derivation(d)
+    lines = d.to_lines()
+    assert lines[:3] == ["0: ax-refl - ; p |- p", "1: ax-refl - ; p |- p", "2: cut 0,1 ; p |- p"]
+    assert len(lines) == 4001 and lines[-1] == "4000: cut 3998,3999 ; p |- p"
+    with pytest.raises(BudgetExceededError):
+        chain.to_lines()  # 12 MB of text
 
 
 def test_check_derivation_rejects_tampering():
