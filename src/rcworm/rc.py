@@ -16,7 +16,9 @@ diamond occurrence, and the accessibility relations are closed under
 The closure runs over the distinct indices of both formulas, ranked 1..k in
 ordinal order (derives states why nothing is lost).  Each edge's index set
 is downward closed, so an edge carries one rank and admits the indices of
-rank up to it.  The right formula is then model-checked at the root.
+rank up to it.  _close closes it in one bottom-up pass over the tree, each
+subtree's block after its children's.  The right formula is then
+model-checked at the root.
 
 proof_search reads a certificate over the primitive rules off the same
 closure, which records the rule behind each entry (_Extractor); it returns
@@ -25,14 +27,13 @@ a certificate on its own.  word_normal_form reads the worm of a
 variable-free formula off worm order types alone, with no model.
 
 numpy is imported only inside the functions that build or read the closure
-matrix (_close, _holds, RcModel.edges, _Extractor), so a process that
-decides no consequence never loads it.
+matrix (_closed, _close, _holds, RcModel.edges, _Extractor.hold), so a
+process that decides no consequence never loads it.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from itertools import cycle
 
 from .errors import BudgetExceededError, NotVariableFreeError
 from .hashcons import Node
@@ -132,32 +133,38 @@ def _children(f):
     return (f.body,) if isinstance(f, Diam) else f.conjuncts if isinstance(f, And) else ()
 
 
+def _postorder(f):
+    """Each distinct subformula of f once, after its parts (explicit stack)."""
+    seen, todo = set(), [f]
+    while todo:
+        g = todo[-1]
+        if g in seen:
+            todo.pop()
+            continue
+        fresh = [c for c in _children(g) if c not in seen]
+        if fresh:
+            todo += fresh
+            continue
+        todo.pop()
+        seen.add(g)
+        yield g
+
+
 def normalize(f):
     """Set-semantics normal form: conjunctions flattened, deduplicated and
     sorted by key, so formulas that differ only in conjunct order and
     repeats normalize to one object.
 
-    One post-order pass from an explicit stack normalizes each distinct
-    subformula once, after its parts.  Equal conjuncts are one object, so
-    siblings dedupe by identity.
+    One post-order pass (_postorder) normalizes each distinct subformula
+    once, after its parts.  Equal conjuncts are one object, so siblings
+    dedupe by identity.
     """
     done = {}
-    todo = [f]
-    while todo:
-        g = todo[-1]
-        if g in done:
-            todo.pop()
-            continue
-        parts = _children(g)
-        fresh = [c for c in parts if c not in done]
-        if fresh:
-            todo += fresh
-            continue
-        todo.pop()
+    for g in _postorder(f):
         if isinstance(g, Diam):
             done[g] = Diam(g.index, done[g.body])
         elif isinstance(g, And):
-            flat = dict.fromkeys(p for c in parts for p in _parts(done[c]))
+            flat = dict.fromkeys(p for c in g.conjuncts for p in _parts(done[c]))
             done[g] = conj(sorted(flat))
         else:
             done[g] = g
@@ -188,18 +195,13 @@ class RcModel:
     model from it with that index added.
     """
 
-    __slots__ = ("labels", "matrix", "rank", "formula", "root")
+    __slots__ = ("labels", "matrix", "rank", "formula")
 
     def __init__(self, labels, matrix, rank, formula):
         self.labels = labels    # list of frozensets of variable names
         self.matrix = matrix    # n x n numpy array of edge ranks
         self.rank = rank        # ranked index -> its rank, 1..k
         self.formula = formula
-        self.root = 0
-
-    @property
-    def nodes(self):
-        return range(len(self.labels))
 
     @property
     def strengths(self):
@@ -229,25 +231,26 @@ def _parts(f):
 
 
 def _indices(f):
-    """The diamond indices of f in preorder, repeats kept."""
-    out, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, Diam):
-            out.append(g.index)
-            todo.append(g.body)
-        elif isinstance(g, And):
-            todo += reversed(g.conjuncts)
-    return out
+    """The diamond indices of f, one per distinct diamond subformula."""
+    return [g.index for g in _postorder(f) if isinstance(g, Diam)]
 
 
 def build_minimal_model(f, g=TOP):
     """Closure model of f: one node per diamond occurrence plus the root,
-    closed over the distinct indices of f and g ranked together (_close)."""
+    closed over the distinct indices of f and g ranked together (_closed)."""
+    labels, _, rank, matrix, _ = _closed(f, g)
+    return RcModel(labels, matrix, rank, f)
+
+
+def _closed(f, g, why=False):
+    """_seed f, _ranks the indices of f and g, and _close: (labels, tree,
+    rank, matrix, reasons), reasons the why array if asked for, else None."""
+    import numpy as np
+
     labels, tree = _seed(f)
     rank = _ranks([d.index for _, _, d in tree] + _indices(g))
-    matrix = _close(len(labels), [(x, y, rank[d.index]) for x, y, d in tree], len(rank))
-    return RcModel(labels, matrix, rank, f)
+    reasons = np.full((len(labels), len(labels)), -1, dtype=np.intp) if why else None
+    return labels, tree, rank, _close(tree, rank, reasons), reasons
 
 
 def _seed(f):
@@ -281,23 +284,49 @@ def _seed(f):
     return [frozenset(s) for s in labels], tree
 
 
-def _close(n, seeds, k, why=None):
-    """Least fixpoint of the frame conditions on n nodes, over ranks 1..k.
+def _close(tree, rank, why=None):
+    """The least closure of the frame conditions over _seed's tree, on the
+    ranks 1..k of rank.
 
-    seeds are (x, y, r) edges.  An edge of rank r stands for the index set
-    of ranks 1..r, so meet is min, inclusion is <=, and strictly-below is
-    r - 1.  The rank dtype is the smallest unsigned type that holds k, so it
-    cannot overflow.  Rows live in one dense matrix m (0 = no edge), and each
-    row x is closed by two whole-matrix (max, min) products over all y at once:
+    An edge of rank r stands for the index set of ranks 1..r, so meet is
+    min, inclusion is <=, and strictly-below is r - 1.  The rank dtype is
+    the smallest unsigned type that holds k, so it cannot overflow.  The
+    dense matrix m (0 = no edge) starts at the seeds m[x,c] = r_c, the rank
+    of c's diamond.  Nodes are in preorder, so x's subtree is S(x) = [x,
+    e(x)).  One bottom-up pass visits x = n - 1, ..., 0 once each and
+    updates only the block of m on S(x) (pairing's own column y of row y
+    is the reflexive self-loop):
 
       transitivity   row(x) := max(row(x), max_y min(m[x,y], row(y)))
-      pairing        row(y) := max(row(y), min(m[x,y] - 1, row(x)))
+      pairing        row(y) := max(row(y), min(m[x,y] - 1, row(x)))   for y in S(x)
 
-    (the y = y column of the pairing rewrite is the reflexive self-loop).
-    Passes alternate bottom-up and top-down, which keeps their number small
-    on deep models, and stop after the first pass that leaves the matrix sum
-    unchanged.  Updates only raise ranks, so such a pass changed no entry:
-    every row's rules held in one unchanging state, which is the fixpoint.
+    Lemma: after the visit of x, its block is the least closure of the
+    tree edges inside S(x) and has (I) m[x,y] >= min(m[y,z] + 1, m[x,z])
+    for y != x; no entry outside visited blocks is ever written.  Proof, by
+    induction along the pass.  Writes are rule instances inside the block,
+    so the block stays in the least closure.  Blocks visited earlier lie in
+    a child's block or outside S(x), so the visit finds M: the children c's
+    closed blocks, with (I) at c, the seeds m[x,c] = r_c, and zeros; no
+    edge enters x.  Transitivity sets row x to a: a[c] = r_c and a[z] =
+    min(r_c, M[c,z]) below c, enough as M is transitive; so (T) a[z] >=
+    min(a[y], M[y,z]), and a[y] >= 1 for y != x by a tree path.  Pairing
+    makes N = max(M, P), P[y,z] = min(a[y] - 1, a[z]), and leaves row and
+    column x alone (a[x] = 0).  Row x of N is transitive, by (T) and as
+    P[z,w] <= a[w]; pairing from x holds as N >= P; column x is zero.  The
+    other instances, for each mix of M and P premises (a zero premise is
+    trivial, and the P cases use row x's transitivity):
+
+      * M and M: the rule inside the one child's closed block.
+      * transitivity from P[y,z]: min(a[y] - 1, a[z], N[z,w]) <= P[y,w].
+      * pairing from P[y,z]: min(a[y] - 2, a[z] - 1, N[y,w]) <= P[z,w].
+      * pairing from M[y,z] onto P[y,w]: min(M[y,z], a[y]) <= a[z] by (T),
+        so min(M[y,z] - 1, a[y] - 1, a[w]) <= P[z,w].
+      * transitivity from M[y,z] into P[z,w]: y, z lie in one S(c), and
+        a[y] >= min(M[y,z] + 1, a[z]) =: s + 1, by (I) at c if y != c and
+        as r_c >= a[z] if y = c.  So P[y,w] >= min(s, a[w]), the premise.
+
+    That bound on a[y] is (I) at x for an M entry; P[y,z] < a[y] gives it
+    for a P entry, and a[y] >= 1 for a zero.  S(0) holds every node.
 
     why, an n x n int array of -1s when given, receives the reason of each
     entry's last raise: -1 for a seed (never raised), w for transitivity
@@ -314,30 +343,27 @@ def _close(n, seeds, k, why=None):
     """
     import numpy as np
 
-    dtype = np.min_scalar_type(k)
-    below = (np.maximum(np.arange(k + 1), 1) - 1).astype(dtype)
-    m = np.zeros((n, n), dtype=dtype)
-    for x, y, r in seeds:
-        m[x, y] = r
-
-    total = int(m.sum(dtype=np.int64))
-    for sweep in cycle((range(n - 1, -1, -1), range(n))):
-        for x in sweep:
-            row = m[x]
-            via = np.minimum(row[:, None], m)
-            best = via.max(axis=0)
-            if why is not None:
-                up = np.flatnonzero(best > row)
-                why[x, up] = via[:, up].argmax(axis=0)
-            np.maximum(row, best, out=row)
-            pair = np.minimum(below[row][:, None], row)
-            if why is not None:
-                why[pair > m] = n + x
-            np.maximum(m, pair, out=m)
-        fresh = int(m.sum(dtype=np.int64))
-        if fresh == total:
-            return m
-        total = fresh
+    n, k = len(tree) + 1, len(rank)
+    below = (np.maximum(np.arange(k + 1), 1) - 1).astype(np.min_scalar_type(k))
+    m = np.zeros((n, n), dtype=below.dtype)
+    end = list(range(1, n + 1))  # e(x): S(x) = [x, end[x])
+    for x, y, d in reversed(tree):
+        m[x, y] = rank[d.index]
+        end[x] = max(end[x], end[y])
+    for x in range(n - 1, -1, -1):
+        block = m[x:end[x], x:end[x]]
+        row = block[0]
+        via = np.minimum(row[:, None], block)
+        best = via.max(axis=0)
+        if why is not None:
+            up = np.flatnonzero(best > row)
+            why[x, x + up] = x + via[:, up].argmax(axis=0)
+        np.maximum(row, best, out=row)
+        pair = np.minimum(below[row][:, None], row)
+        if why is not None:
+            why[x:end[x], x:end[x]][pair > block] = n + x
+        np.maximum(block, pair, out=block)
+    return m
 
 
 def model_check(model, node, f):
@@ -354,33 +380,22 @@ def _holds(model, f):
     it holds, or None when f has an index the model did not rank.
 
     Each subformula (one interned object) is evaluated once, after its parts
-    and from an explicit stack: TOP holds everywhere, a variable where it
-    labels the node, a conjunction where every conjunct holds, and <a>B at x
-    when some edge x -> y admits a (its rank reaches a's) and B holds at y.
+    (_postorder): TOP holds everywhere, a variable where it labels the node,
+    a conjunction where every conjunct holds, and <a>B at x when some edge
+    x -> y admits a (its rank reaches a's) and B holds at y.
     """
     import numpy as np
 
     m, rank = model.matrix, model.rank
     n = len(model.labels)
     memo = {}
-    todo = [f]
-    while todo:
-        g = todo[-1]
-        if g in memo:
-            todo.pop()
-            continue
-        parts = _children(g)
-        fresh = [c for c in parts if c not in memo]
-        if fresh:
-            todo += fresh
-            continue
-        todo.pop()
+    for g in _postorder(f):
         if isinstance(g, _Top):
             hit = np.ones(n, dtype=bool)
         elif isinstance(g, Var):
             hit = np.fromiter((g.name in ls for ls in model.labels), dtype=bool, count=n)
         elif isinstance(g, And):
-            hit = np.logical_and.reduce([memo[c] for c in parts])
+            hit = np.logical_and.reduce([memo[c] for c in g.conjuncts])
         else:
             r = rank.get(g.index)
             if r is None:
@@ -559,14 +574,8 @@ class _Extractor:
     """
 
     def __init__(self, f, g):
-        import numpy as np
-
-        labels, tree = _seed(f)
+        labels, tree, self.rank, self.matrix, self.why = _closed(f, g, why=True)
         self.n, self.g = len(labels), g
-        self.rank = _ranks([d.index for _, _, d in tree] + _indices(g))
-        self.why = np.full((self.n, self.n), -1, dtype=np.intp)
-        seeds = [(x, y, self.rank[d.index]) for x, y, d in tree]
-        self.matrix = _close(self.n, seeds, len(self.rank), self.why)
         self.sat = _holds(RcModel(labels, self.matrix, self.rank, f), g)
         self.parts = [list(_parts(f))] + [list(_parts(d.body)) for _, _, d in tree]
         self.body = [f] + [d.body for _, _, d in tree]

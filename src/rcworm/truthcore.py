@@ -28,7 +28,8 @@ import re
 # ------------------------------------------------------------ node caches
 #
 # Terms and formulas are hash-consed (hashcons.Node); each node's _fill()
-# sets `fv`, the frozenset of the variables free in it, when it is built.
+# sets `fv`, the frozenset of the variables free in it, when it is built;
+# Zero and Succ also set `value`: the number of a numeral, or None.
 
 _NO_VARS = frozenset()
 
@@ -70,7 +71,7 @@ def _new_literal(cls, pred, terms):
 
 
 class ArithTerm(Node):
-    __slots__ = ("fv",)
+    __slots__ = ("fv", "value")
 
     def __repr__(self):
         return render_term(self)
@@ -80,12 +81,16 @@ class Zero(ArithTerm):
     __slots__ = ()
 
     def _fill(self):
-        self.fv = _NO_VARS
+        self.fv, self.value = _NO_VARS, 0
 
 
 class Succ(ArithTerm):
     __slots__ = ("arg",)
-    _fill = _fill_arg
+
+    def _fill(self):
+        _fill_arg(self)
+        below = self.arg.value if isinstance(self.arg, (Zero, Succ)) else None
+        self.value = None if below is None else below + 1
 
 
 class Plus(ArithTerm):
@@ -194,10 +199,6 @@ class All(TaitFormula):
 class Ex(TaitFormula):
     __slots__ = ("var", "body")
     _fill = _fill_unbounded
-
-
-def atom_eq(a, b):
-    return Atom("=", (a, b))
 
 
 def atom_le(a, b):
@@ -789,18 +790,8 @@ def parse_truth_term(text):
 def render_term(t):
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Succ):
-        # compress numerals back to decimal
-        n = 0
-        inner = t
-        while isinstance(inner, Succ):
-            n += 1
-            inner = inner.arg
-        if isinstance(inner, Zero):
-            return str(n)
-        return "S(%s)" % render_term(t.arg)
+    if isinstance(t, (Zero, Succ)):
+        return "S(%s)" % render_term(t.arg) if t.value is None else str(t.value)
     if isinstance(t, Exp):
         return "exp(%s)" % render_term(t.arg)
     if isinstance(t, Plus):

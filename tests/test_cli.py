@@ -679,6 +679,18 @@ def test_right_nested_chains_render_in_linear_time(capsys):
         assert code == 0 and want in out.splitlines() and out.endswith("locally correct: yes")
 
 
+def test_build_ef_renders_numerals_in_linear_time(capsys):
+    # a numeral prints the value it cached when built, not by walking its
+    # 5,000 successors once per line; the text is what the chain walk printed
+    start = time.perf_counter()
+    code, out = run(capsys, "truth", "build-ef", "all x <= 5000 . x <= 5000")
+    assert time.perf_counter() - start < 1.0
+    numerals = sorted(str(n) for n in range(5001))
+    want = (["%s = %s" % (t, t) for t in numerals] + ["%s <= 5000 : 1" % t for t in numerals]
+            + ["all x <= 5000 . x <= 5000 : 1", "locally correct: yes"])
+    assert (code, out) == (0, "\n".join(want))
+
+
 def test_deep_nearly_equal_siblings_normalize(capsys):
     # sibling order walks a run of equal diamonds in a loop
     for n in (1000, 5000):

@@ -267,9 +267,9 @@ def test_build_q_shape():
 
 def test_minimal_model_shapes():
     m = rc.build_minimal_model(rc.TOP)
-    assert len(m.nodes) == 1 and not any(m.edges)
+    assert len(m.labels) == 1 and not any(m.edges)
     chain = rc.build_minimal_model(f("<1><0>T"))
-    assert len(chain.nodes) == 3
+    assert len(chain.labels) == 3
     # transitivity after downward closure adds the long 0-edge
     assert rc.model_check(chain, 0, f("<0><0>T"))
     assert rc.model_check(chain, 0, f("<0>T"))
@@ -451,29 +451,33 @@ def test_closure_matches_reference_over_indices_only_the_right_side_has():
         assert_matches_reference(lhs, rhs)
 
 
-def test_closure_matches_reference_on_frames_that_are_not_trees():
-    # Seeded formula trees close in one pass.  Here edges also run from later
-    # to earlier nodes, and the fixed frame changes in three passes, so a
-    # stop that does not wait for a quiet pass returns an unclosed matrix.
+def test_closure_matches_reference_on_random_preorder_trees():
+    # _close takes the tree as _seed numbers it, in preorder: each new node
+    # hangs off the rightmost path of the tree so far.  Ranks are drawn
+    # freely from 1-8 indices with gaps between them, some of which may seed
+    # no edge, so siblings share ranks and ranks rise going down.  Sizes
+    # lean small (the reference costs n^3 per sweep), up to 40 nodes.
     rng = random.Random(2026)
-    fixed = [(0, 4, ZERO), (1, 5, TWO), (1, 6, ZERO), (2, 3, ZERO),
-             (3, 5, ONE), (4, 2, ZERO), (4, 7, ONE)]
-    frames = [[{} for _ in range(8)]]
-    for x, y, a in fixed:
-        frames[0][x][y] = (a, True)
-    for _ in range(300):
-        n = rng.randrange(2, 12)
-        frames.append([{} for _ in range(n)])
-        for _ in range(rng.randrange(1, 2 * n)):
-            x, y = rng.sample(range(n), 2)
-            frames[-1][x][y] = (rng.choice(SMALL_ORDINALS[:6]), True)
-    for seeded in frames:
-        rank = rc._ranks([a for row in seeded for a, _ in row.values()])
-        seeds = [(x, y, rank[a]) for x, row in enumerate(seeded) for y, (a, _) in row.items()]
-        matrix = rc._close(len(seeded), seeds, len(rank))
-        strengths = [None] + in_order(rank)
-        want = ranked(reference_close(seeded), strengths)
+    pool = [from_int(j) for j in range(0, 20, 3)] + SMALL_ORDINALS[4:10]
+    shapes = set()
+    for _ in range(2000):
+        indices = rng.sample(pool, rng.randint(1, 8))
+        seeded, tree, path = [{}], [], [0]
+        for y in range(1, rng.randint(1, rng.randint(1, 40))):
+            del path[rng.randrange(len(path)) + 1:]
+            x, a = path[-1], rng.choice(indices)
+            if any(b is a for b, _ in seeded[x].values()):
+                shapes.add("equal siblings")
+            if x and compare(a, tree[x - 1][2].index) > 0:  # tree[x - 1] seeds x
+                shapes.add("rise")
+            seeded[x][y] = (a, True)
+            seeded.append({})
+            tree.append((x, y, rc.Diam(a, rc.TOP)))
+            path.append(y)
+        matrix = rc._close(tree, rc._ranks(indices))
+        want = ranked(reference_close(seeded), [None] + in_order(indices))
         assert [{y: int(r) for y, r in enumerate(row) if r} for row in matrix] == want
+    assert shapes == {"equal siblings", "rise"}
 
 
 def test_closure_rank_dtype_holds_wide_tables():
@@ -494,7 +498,7 @@ def test_closure_rank_dtype_holds_wide_tables():
     assert not rc.model_check(model, 0, rc.Diam(top.index, top))
 
 
-def test_derives_size_800_median_under_half_a_second():
+def test_derives_size_800_median_under_55_ms():
     rng = random.Random(800)
     pool = transfinite_pool(rng, 50)
     timings = []
@@ -504,7 +508,7 @@ def test_derives_size_800_median_under_half_a_second():
         started = time.perf_counter()
         rc.derives(lhs, rhs)
         timings.append(time.perf_counter() - started)
-    assert statistics.median(timings) < 0.5, timings
+    assert statistics.median(timings) < 0.055, timings
 
 
 def test_derives_large_finite_index_is_fast():
@@ -649,17 +653,14 @@ def test_close_records_a_reason_that_holds_in_the_closed_matrix():
 
     kinds = set()
     for lhs, rhs, _ in itertools.islice(large_pairs(2032), 4):
-        labels, tree = rc._seed(rc.normalize(f(lhs)))
-        rank = rc._ranks([d.index for _, _, d in tree] + rc._indices(f(rhs)))
-        seeds = [(x, y, rank[d.index]) for x, y, d in tree]
+        lhs, rhs = rc.normalize(f(lhs)), f(rhs)
+        labels, tree, rank, m, why = rc._closed(lhs, rhs, why=True)
+        assert (m == rc._closed(lhs, rhs)[3]).all()
         n = len(labels)
-        why = np.full((n, n), -1, dtype=np.intp)
-        m = rc._close(n, seeds, len(rank), why)
-        assert (m == rc._close(n, seeds, len(rank))).all()
         m = m.astype(np.int64)
         seeded = np.zeros_like(m)
-        for x, y, r in seeds:
-            seeded[x, y] = r
+        for x, y, d in tree:
+            seeded[x, y] = rank[d.index]
         x, y = np.nonzero(m)
         v, r = m[x, y], why[x, y]
         seed, pair = r < 0, r >= n
