@@ -5,30 +5,27 @@ equality is identity.  normalize sorts the conjuncts of a conjunction with
 `<` (RcFormula), where indices compare in ordinal order, the only order that
 derivability depends on (derives); Godel codes are for output alone.
 
-Derivability between conjunctive diamond formulas is decided on a minimal
-closure model: the syntax tree of the left formula gives one node per
-diamond occurrence, and the accessibility relations are closed under
+Derivability between conjunctive diamond formulas is decided on a finite
+tree model: the syntax tree of the left formula gives one node per diamond
+occurrence, and the accessibility relations are the least ones over it closed
+under
 
   * downward closure   x R_a y and b < a          =>  x R_b y
   * transitivity       x R_a y and y R_a z        =>  x R_a z
   * the pairing law    x R_a y and x R_b z, b < a =>  y R_b z   (y = z allowed)
 
-The closure runs over the distinct indices of both formulas, ranked 1..k in
-ordinal order (derives states why nothing is lost).  Each edge's index set
-is downward closed, so an edge carries one rank and admits the indices of
-rank up to it.  _close closes it in one bottom-up pass over the tree, each
-subtree's block after its children's.  The right formula is then
-model-checked at the root.
+The distinct indices of both formulas are ranked 1..k in ordinal order
+(derives states why nothing is lost), and each node keeps its parent and the
+rank of the diamond that seeded it.  The closed relation is a function of
+that tree alone (_holds proves the closed form), so it is never built: the
+right formula is model-checked at the root by two passes over the tree per
+diamond, one bottom-up and one top-down, on node sets held as ints.
 
-proof_search reads a certificate over the primitive rules off the same
-closure, which records the rule behind each entry (_Extractor); it returns
-None exactly when the sequent is not derivable, and check_derivation checks
-a certificate on its own.  word_normal_form reads the worm of a
+proof_search reads a certificate over the primitive rules off the same tree,
+which gives the rule behind each edge of the closure (_Extractor); it
+returns None exactly when the sequent is not derivable, and check_derivation
+checks a certificate on its own.  word_normal_form reads the worm of a
 variable-free formula off worm order types alone, with no model.
-
-numpy is imported only inside the functions that build or read the closure
-matrix (_closed, _close, _holds, RcModel.edges, _Extractor.hold), so a
-process that decides no consequence never loads it.
 """
 
 from __future__ import annotations
@@ -183,23 +180,25 @@ def build_q(beta, k, f):
 
 
 class RcModel:
-    """Finite frame over the ranked indices of a sequent.
+    """Finite tree frame over the ranked indices of a sequent.
 
     The distinct indices the model was built over are ranked 1..k in
     ordinal order; `strengths` lists them by rank, so strengths[r] is the
-    top index an edge of rank r admits ([0] unused).  The closed rank matrix
-    is the only edge store: matrix[x, y] is the rank of the edge x -> y, 0
-    when there is none, and the edge admits exactly the indices of rank at
-    most matrix[x, y].  `formula` is the left side the nodes were seeded
-    from; a question about an index the model did not rank rebuilds the
-    model from it with that index added.
+    top index an edge of rank r admits ([0] unused).  The tree is the only
+    edge store: parent[y] is y's parent in _seed's preorder (-1 at the root)
+    and seed[y] the rank of the diamond that seeded y (0 at the root).  The
+    closed relation is a function of the tree (_holds); `related` reads one
+    entry of it and `edges` all of them.  `formula` is the left side the
+    nodes were seeded from; a question about an index the model did not rank
+    rebuilds the model from it with that index added.
     """
 
-    __slots__ = ("labels", "matrix", "rank", "formula")
+    __slots__ = ("labels", "parent", "seed", "rank", "formula")
 
-    def __init__(self, labels, matrix, rank, formula):
+    def __init__(self, labels, parent, seed, rank, formula):
         self.labels = labels    # list of frozensets of variable names
-        self.matrix = matrix    # n x n numpy array of edge ranks
+        self.parent = parent    # node -> its parent, -1 at the root
+        self.seed = seed        # node -> the rank of its seeding diamond, 0 at the root
         self.rank = rank        # ranked index -> its rank, 1..k
         self.formula = formula
 
@@ -210,20 +209,40 @@ class RcModel:
 
     @property
     def edges(self):
-        """Rows of the matrix as dicts, node -> {node: edge rank}."""
-        import numpy as np
-
-        out = []
-        for row in self.matrix:
-            ys = np.nonzero(row)[0]
-            out.append(dict(zip(ys.tolist(), row[ys].tolist())))
-        return out
+        """The closed relation as dict rows, node -> {node: edge rank}.  Row
+        y is the tree row T_y (the least seed rank on the path down to each
+        proper descendant) raised to min(seed[y] - 1, row(parent[y]))."""
+        parent, seed = self.parent, self.seed
+        rows = [{} for _ in self.labels]
+        for c in range(len(rows) - 1, 0, -1):
+            row, s = rows[parent[c]], seed[c]
+            row[c] = s
+            for z, v in rows[c].items():
+                row[z] = min(s, v)
+        for y in range(1, len(rows)):
+            cap = seed[y] - 1
+            row = {z: min(cap, v) for z, v in rows[parent[y]].items()} if cap else {}
+            for z, v in rows[y].items():
+                if v > row.get(z, 0):
+                    row[z] = v
+            rows[y] = row
+        return rows
 
     def related(self, x, alpha, y):
         r = self.rank.get(alpha)
         if r is None:
             return build_minimal_model(self.formula, Diam(alpha, TOP)).related(x, alpha, y)
-        return bool(self.matrix[x, y] >= r)
+        return self.admits(x, r, y)
+
+    def admits(self, x, r, y):
+        """Whether the edge x -> y has rank r or more: y is in Q_r(x) (_holds)."""
+        parent, seed = self.parent, self.seed
+        while x and seed[x] > r:  # climb to top_r(x)
+            x = parent[x]
+        z = y
+        while z > x and seed[z] >= r:
+            z = parent[z]
+        return z == x != y
 
 
 def _parts(f):
@@ -236,21 +255,12 @@ def _indices(f):
 
 
 def build_minimal_model(f, g=TOP):
-    """Closure model of f: one node per diamond occurrence plus the root,
-    closed over the distinct indices of f and g ranked together (_closed)."""
-    labels, _, rank, matrix, _ = _closed(f, g)
-    return RcModel(labels, matrix, rank, f)
-
-
-def _closed(f, g, why=False):
-    """_seed f, _ranks the indices of f and g, and _close: (labels, tree,
-    rank, matrix, reasons), reasons the why array if asked for, else None."""
-    import numpy as np
-
+    """Tree model of f: one node per diamond occurrence plus the root
+    (_seed), over the distinct indices of f and g ranked together."""
     labels, tree = _seed(f)
     rank = _ranks([d.index for _, _, d in tree] + _indices(g))
-    reasons = np.full((len(labels), len(labels)), -1, dtype=np.intp) if why else None
-    return labels, tree, rank, _close(tree, rank, reasons), reasons
+    return RcModel(labels, [-1] + [x for x, _, _ in tree],
+                   [0] + [rank[d.index] for _, _, d in tree], rank, f)
 
 
 def _seed(f):
@@ -284,129 +294,87 @@ def _seed(f):
     return [frozenset(s) for s in labels], tree
 
 
-def _close(tree, rank, why=None):
-    """The least closure of the frame conditions over _seed's tree, on the
-    ranks 1..k of rank.
-
-    An edge of rank r stands for the index set of ranks 1..r, so meet is
-    min, inclusion is <=, and strictly-below is r - 1.  The rank dtype is
-    the smallest unsigned type that holds k, so it cannot overflow.  The
-    dense matrix m (0 = no edge) starts at the seeds m[x,c] = r_c, the rank
-    of c's diamond.  Nodes are in preorder, so x's subtree is S(x) = [x,
-    e(x)).  One bottom-up pass visits x = n - 1, ..., 0 once each and
-    updates only the block of m on S(x) (pairing's own column y of row y
-    is the reflexive self-loop):
-
-      transitivity   row(x) := max(row(x), max_y min(m[x,y], row(y)))
-      pairing        row(y) := max(row(y), min(m[x,y] - 1, row(x)))   for y in S(x)
-
-    Lemma: after the visit of x, its block is the least closure of the
-    tree edges inside S(x) and has (I) m[x,y] >= min(m[y,z] + 1, m[x,z])
-    for y != x; no entry outside visited blocks is ever written.  Proof, by
-    induction along the pass.  Writes are rule instances inside the block,
-    so the block stays in the least closure.  Blocks visited earlier lie in
-    a child's block or outside S(x), so the visit finds M: the children c's
-    closed blocks, with (I) at c, the seeds m[x,c] = r_c, and zeros; no
-    edge enters x.  Transitivity sets row x to a: a[c] = r_c and a[z] =
-    min(r_c, M[c,z]) below c, enough as M is transitive; so (T) a[z] >=
-    min(a[y], M[y,z]), and a[y] >= 1 for y != x by a tree path.  Pairing
-    makes N = max(M, P), P[y,z] = min(a[y] - 1, a[z]), and leaves row and
-    column x alone (a[x] = 0).  Row x of N is transitive, by (T) and as
-    P[z,w] <= a[w]; pairing from x holds as N >= P; column x is zero.  The
-    other instances, for each mix of M and P premises (a zero premise is
-    trivial, and the P cases use row x's transitivity):
-
-      * M and M: the rule inside the one child's closed block.
-      * transitivity from P[y,z]: min(a[y] - 1, a[z], N[z,w]) <= P[y,w].
-      * pairing from P[y,z]: min(a[y] - 2, a[z] - 1, N[y,w]) <= P[z,w].
-      * pairing from M[y,z] onto P[y,w]: min(M[y,z], a[y]) <= a[z] by (T),
-        so min(M[y,z] - 1, a[y] - 1, a[w]) <= P[z,w].
-      * transitivity from M[y,z] into P[z,w]: y, z lie in one S(c), and
-        a[y] >= min(M[y,z] + 1, a[z]) =: s + 1, by (I) at c if y != c and
-        as r_c >= a[z] if y = c.  So P[y,w] >= min(s, a[w]), the premise.
-
-    That bound on a[y] is (I) at x for an M entry; P[y,z] < a[y] gives it
-    for a P entry, and a[y] >= 1 for a zero.  S(0) holds every node.
-
-    why, an n x n int array of -1s when given, receives the reason of each
-    entry's last raise: -1 for a seed (never raised), w for transitivity
-    through w (m[x,w] and m[w,y] at least m[x,y]), n + u for pairing from u
-    (m[u,x] above m[x,y], m[u,y] at least it).  One reason per entry is
-    enough to rebuild every entry from the seeds.  Order the entries by
-    final rank, highest first, then by the time of their last raise; every
-    premise of a last raise comes strictly earlier.  A premise that ends at
-    a higher rank is earlier by rank.  A premise that ends at the same rank
-    held that rank already when the entry was raised, so its own last raise
-    came before.  Inside one numpy update the premises are read before the
-    write, and a premise raised in the same update was read below its new
-    rank yet at least the entry's, so it ends at a higher rank.
-    """
-    import numpy as np
-
-    n, k = len(tree) + 1, len(rank)
-    below = (np.maximum(np.arange(k + 1), 1) - 1).astype(np.min_scalar_type(k))
-    m = np.zeros((n, n), dtype=below.dtype)
-    end = list(range(1, n + 1))  # e(x): S(x) = [x, end[x])
-    for x, y, d in reversed(tree):
-        m[x, y] = rank[d.index]
-        end[x] = max(end[x], end[y])
-    for x in range(n - 1, -1, -1):
-        block = m[x:end[x], x:end[x]]
-        row = block[0]
-        via = np.minimum(row[:, None], block)
-        best = via.max(axis=0)
-        if why is not None:
-            up = np.flatnonzero(best > row)
-            why[x, x + up] = x + via[:, up].argmax(axis=0)
-        np.maximum(row, best, out=row)
-        pair = np.minimum(below[row][:, None], row)
-        if why is not None:
-            why[x:end[x], x:end[x]][pair > block] = n + x
-        np.maximum(block, pair, out=block)
-    return m
-
-
 def model_check(model, node, f):
     """Whether f holds at `node` of the model (_holds).  An index the model
     did not rank rebuilds it once, over the indices of f as well."""
     hit = _holds(model, f)
     if hit is None:
         return model_check(build_minimal_model(model.formula, f), node, f)
-    return bool(hit[f][node])
+    return bool(hit[f] >> node & 1)
 
 
 def _holds(model, f):
-    """Each distinct subformula of f -> the boolean vector of the nodes where
-    it holds, or None when f has an index the model did not rank.
+    """Each distinct subformula of f -> the nodes where it holds, as an int
+    with bit x set for node x, or None when f has an index the model did not
+    rank.
 
     Each subformula (one interned object) is evaluated once, after its parts
     (_postorder): TOP holds everywhere, a variable where it labels the node,
-    a conjunction where every conjunct holds, and <a>B at x when some edge
-    x -> y admits a (its rank reaches a's) and B holds at y.
-    """
-    import numpy as np
+    a conjunction where every conjunct holds, and <a>B at y when some edge
+    y -> z of the least closure R of the seeds admits a and B holds at z.
 
-    m, rank = model.matrix, model.rank
-    n = len(model.labels)
+    R is read off the tree.  For a rank r, call the edge into c r-high when
+    seed[c] >= r.  Let top_r(y) be where climbing from y over (r+1)-high
+    edges stops, and D_r(u) the proper descendants of u on r-high paths.
+    Lemma: R admits r on (y, z) exactly when z is in Q_r(y) = D_r(top_r(y)).
+    Proof.  Q holds the seeds: c is in D_r(parent c) for r = seed[c], and
+    D_r(y) lies in Q_r(y), as y is top_r(y) or in D_r(top_r(y)).  Q is in R:
+    an r-high path is a chain of seeds of rank >= r, so u R_r z for z in
+    D_r(u) by transitivity; for u = top_r(y) != y also u R_(r+1) y, and
+    pairing gives y R_r z.  Q obeys the frame conditions.  Let t = top_r(y);
+    the climb from y stops there, so t is the root or seed[t] <= r.
+      * downward: top_(r-1)(y) is t or above it, reached over r-high edges,
+        so Q_r(y) lies in D_(r-1)(t), inside Q_(r-1)(y).
+      * transitivity: for z in D_r(t), the climb from z runs up the r-high
+        path from t and stops at t or at a node v of D_r(t), so Q_r(z), which
+        is D_r(t) or D_r(v), lies in Q_r(y).
+      * pairing: for z in Q_(r+1)(y) = D_(r+1)(t'), t' is on y's climb to t,
+        and the climb from z runs up to t', then on to t: Q_r(z) = Q_r(y).
+        (Pairing across a gap of ranks follows by the downward law.)
+    So Q is a closed relation inside R that holds the seeds, and Q = R.
+
+    Hence <a>B, r = rank of a, holds at y iff D_r(top_r(y)) meets B.  The
+    bottom-up pass marks each u where D_r(u) meets B: u has an r-high child
+    where B holds or which is marked.  A mark passes up every r-high edge,
+    so a climb meets a mark iff it ends at one, and the top-down pass copies
+    the answer at a parent down each (r+1)-high edge.  In ranks, the entry
+    of R on (y, z) is max(T_y[z], min(seed[y] - 1, R[parent y, z])), T_y[z]
+    the least seed rank on the path from y down to z (edges).
+    """
+    parent, seed, rank, labels = model.parent, model.seed, model.rank, model.labels
+    n = len(labels)
+    high = {}  # r -> the (child, parent) pairs of r-high edges, deepest first
     memo = {}
     for g in _postorder(f):
         if isinstance(g, _Top):
-            hit = np.ones(n, dtype=bool)
+            hit = (1 << n) - 1
         elif isinstance(g, Var):
-            hit = np.fromiter((g.name in ls for ls in model.labels), dtype=bool, count=n)
+            hit = sum(1 << x for x, ls in enumerate(labels) if g.name in ls)
         elif isinstance(g, And):
-            hit = np.logical_and.reduce([memo[c] for c in g.conjuncts])
+            hit = memo[g.conjuncts[0]]
+            for c in g.conjuncts[1:]:
+                hit &= memo[c]
+        elif g.index not in rank:
+            return None
         else:
-            r = rank.get(g.index)
-            if r is None:
-                return None
-            hit = (m[:, memo[g.body]] >= r).any(axis=1)
+            r, reach, hit = rank[g.index], memo[g.body], 0
+            if reach:
+                for s in (r, r + 1):
+                    if s not in high:
+                        high[s] = [(c, parent[c]) for c in range(n - 1, 0, -1) if seed[c] >= s]
+                for c, p in high[r]:  # bottom-up
+                    if reach >> c & 1:
+                        hit |= 1 << p
+                        reach |= 1 << p
+            for c, p in reversed(high[r + 1]) if hit else ():  # top-down
+                if hit >> p & 1:
+                    hit |= 1 << c
         memo[g] = hit
     return memo
 
 
 def derives(f, g):
-    """True when f proves g: g holds at the root of the closure model of f.
+    """True when f proves g: g holds at the root of the tree model of f.
 
     The model is closed over J, the distinct indices of f and g, ranked
     1..k, not over all ordinals.  This loses nothing.  Lemma: let R be the
@@ -534,7 +502,7 @@ CERTIFICATE_CHARS = 10 ** 6
 
 
 def proof_search(f, g, max_depth=24):
-    """A certificate of normalize(f) |- normalize(g), read off the closure
+    """A certificate of normalize(f) |- normalize(g), read off the tree
     model that decides the sequent (_Extractor), or None exactly when f does
     not derive g.  max_depth bounds nothing; it is kept for callers that
     pass it.  Raises BudgetExceededError past CERTIFICATE_CHARS // 20
@@ -543,7 +511,7 @@ def proof_search(f, g, max_depth=24):
 
 
 class _Extractor:
-    """One certificate of f |- g, read off the closure model of f.
+    """One certificate of f |- g, read off the tree model of f.
 
     Node x keeps its conjuncts in parts[x], and its body is their conj; its
     child y is the conjunct parts[x][pos[y]] = <c>body(y), c the index that
@@ -551,7 +519,7 @@ class _Extractor:
     node: and-intro there (ax-proj for each old conjunct, the new one's proof
     last), lifted to the root by mono and and-intro.  A balanced tree of cuts
     chains the steps and a last proof of g.  Two lemmas recurse on the reason
-    _close recorded for the entry (x, y):
+    for the closure's edge (x, y) (reason):
 
       E(x, y, t, src): y's body embeds src, which is H or t = <a>H, and
           (x, y) admits a; adds t at x.  Seed: ax-proj to <c>body(y), mono,
@@ -563,23 +531,29 @@ class _Extractor:
           which y stands for from then on.  Transitivity through w: P(x, w,
           t), P(w, y, t).  Pairing from u: E(u, x, t, t), P(u, y, t).
 
-    Premises come strictly earlier in the order of _close's docstring, so
-    the recursion ends.  A walk down g picks each diamond's witness from the
-    node vectors of _holds and calls E once the witness embeds the body.  A
-    lemma whose node already embeds its conclusion does nothing, and every
-    added conjunct is a diamond subformula of g, so there are at most
-    nodes x (diamond subformulas of g) steps.  Embedded, not literally
-    present, since a later step grows a conjunct an earlier test matched.
-    Pending lemmas wait on a stack, so nothing recurses per node or diamond.
+    The reason does not depend on the rank asked for.  If (x, y) admits r
+    (y in Q_r(x), _holds), then y is a child of x (a seed); or a deeper
+    descendant of x, whose path from x is r-high as part of the path from
+    top_r(x), so transitivity through x's child w on it; or else pairing
+    from u, the lowest node that is a proper ancestor of both.  Then u is on
+    x's climb to top_r(x), so (u, x) admits r + 1 and (u, y) admits r along
+    tree paths.  The premises of a
+    pairing are tree paths, and those of a tree path are shorter tree paths,
+    so the recursion ends.  A walk down g picks each diamond's witness from
+    the node sets of _holds and calls E once the witness embeds the body.
+    A lemma whose node already embeds its conclusion does nothing, and every
+    added conjunct is a diamond subformula of g, so there are at most nodes
+    x (diamond subformulas of g) steps.  Embedded, not literally present,
+    since a later step grows a conjunct an earlier test matched.  Pending
+    lemmas wait on a stack, so nothing recurses per node or diamond.
     """
 
     def __init__(self, f, g):
-        labels, tree, self.rank, self.matrix, self.why = _closed(f, g, why=True)
-        self.n, self.g = len(labels), g
-        self.sat = _holds(RcModel(labels, self.matrix, self.rank, f), g)
+        self.model = model = build_minimal_model(f, g)
+        _, tree = _seed(f)
+        self.g, self.parent, self.sat = g, model.parent, _holds(model, g)
         self.parts = [list(_parts(f))] + [list(_parts(d.body)) for _, _, d in tree]
         self.body = [f] + [d.body for _, _, d in tree]
-        self.parent = [None] + [x for x, _, _ in tree]
         self.index = [None] + [d.index for _, _, d in tree]
         self.pos = [None] + [self.parts[x].index(d) for x, _, d in tree]
         self.embedded = {}  # (b, s) -> a proof of b |- s when b embeds s, else None
@@ -587,7 +561,7 @@ class _Extractor:
         self.steps, self.made = [], 0
 
     def certificate(self):
-        if not self.sat[self.g][0]:
+        if not self.sat[self.g] & 1:
             return None
         todo = [(self.hold, (0, self.g))]
         while todo:
@@ -598,40 +572,53 @@ class _Extractor:
 
     def hold(self, y, s):
         """Make y's body embed s, which holds at y in the model."""
-        import numpy as np
-
         out = []
         for c in _parts(s):
             if isinstance(c, Diam) and not self.embedding(self.body[y], c):
-                z = int(np.flatnonzero((self.matrix[y] >= self.rank[c.index]) & self.sat[c.body])[0])
+                r, hit = self.model.rank[c.index], self.sat[c.body]
+                z = next(z for z in range(len(self.body)) if hit >> z & 1 and self.model.admits(y, r, z))
                 out += [(self.hold, (z, c.body)), (self.lemma_e, (y, z, c, c.body, y == 0))]
         return out
+
+    def reason(self, x, y):
+        """Why the closure relates x to y, given that it does: (None, False)
+        for a seed, (w, False) for transitivity through w, (u, True) for
+        pairing from u."""
+        parent, w = self.parent, y
+        while parent[w] > x:  # ancestors are numbered lower
+            w = parent[w]
+        if parent[w] == x:
+            return (None if w == y else w), False
+        u, v = parent[x], parent[w]
+        while u != v:  # the later-numbered one is no ancestor of the other
+            u, v = (parent[u], v) if u > v else (u, parent[v])
+        return u, True
 
     def lemma_e(self, x, y, t, src, last=False):
         """E; for a top diamond of g (last), its seed step is left to last()."""
         if self.embedding(self.body[x], t):
             return ()
-        r = int(self.why[x, y])
-        if r < 0 and last:
+        w, paired = self.reason(x, y)
+        if w is None and last:
             self.route[t] = (y, src)
-        elif r < 0:
+        elif w is None:
             self.add(x, t, self.through(x, y, t, src))
-        elif r < self.n:
-            return [(self.lemma_e, (r, y, t, src)), (self.lemma_e, (x, r, t, t, last))]
+        elif not paired:
+            return [(self.lemma_e, (w, y, t, src)), (self.lemma_e, (x, w, t, t, last))]
         else:  # no edge enters the root, so a last E has no pairing reason
-            return [(self.lemma_e, (r - self.n, y, t, src)), (self.lemma_p, (r - self.n, x, t))]
+            return [(self.lemma_e, (w, y, t, src)), (self.lemma_p, (w, x, t))]
         return ()
 
     def lemma_p(self, x, y, t):
         if self.embedding(self.body[y], t):
             return ()
-        r = int(self.why[x, y])
-        if r < 0:
+        w, paired = self.reason(x, y)
+        if w is None:
             self.pair(x, y, t)
             return ()
-        if r < self.n:
-            return [(self.lemma_p, (x, r, t)), (self.lemma_p, (r, y, t))]
-        return [(self.lemma_e, (r - self.n, x, t, t)), (self.lemma_p, (r - self.n, y, t))]
+        if not paired:
+            return [(self.lemma_p, (x, w, t)), (self.lemma_p, (w, y, t))]
+        return [(self.lemma_e, (w, x, t, t)), (self.lemma_p, (w, y, t))]
 
     def add(self, x, t, proof):
         """Append t to x's conjuncts (proof: body(x) |- t) and record the

@@ -452,8 +452,8 @@ def test_closure_matches_reference_over_indices_only_the_right_side_has():
 
 
 def test_closure_matches_reference_on_random_preorder_trees():
-    # _close takes the tree as _seed numbers it, in preorder: each new node
-    # hangs off the rightmost path of the tree so far.  Ranks are drawn
+    # The closed form reads the tree as _seed numbers it, in preorder: each
+    # new node hangs off the rightmost path of the tree so far.  Ranks are drawn
     # freely from 1-8 indices with gaps between them, some of which may seed
     # no edge, so siblings share ranks and ranks rise going down.  Sizes
     # lean small (the reference costs n^3 per sweep), up to 40 nodes.
@@ -474,16 +474,17 @@ def test_closure_matches_reference_on_random_preorder_trees():
             seeded.append({})
             tree.append((x, y, rc.Diam(a, rc.TOP)))
             path.append(y)
-        matrix = rc._close(tree, rc._ranks(indices))
-        want = ranked(reference_close(seeded), [None] + in_order(indices))
-        assert [{y: int(r) for y, r in enumerate(row) if r} for row in matrix] == want
+        rank = rc._ranks(indices)
+        model = rc.RcModel([frozenset()] * len(seeded), [-1] + [x for x, _, _ in tree],
+                           [0] + [rank[d.index] for _, _, d in tree], rank, rc.TOP)
+        assert model.edges == ranked(reference_close(seeded), [None] + in_order(indices))
     assert shapes == {"equal siblings", "rise"}
 
 
 def test_closure_rank_dtype_holds_wide_tables():
-    # 300 diamonds <w+k>T under the root: 300 ranks, more than one byte holds.
-    # Pairing puts an edge of rank min(j, i - 1) from the i-th node to the
-    # j-th, and nothing more closes.
+    # 300 diamonds <w+k>T under the root: 300 ranks, more than one byte
+    # holds.  Pairing puts an edge of rank min(j, i - 1) from the i-th node
+    # to the j-th, and nothing more closes.
     n = 300
     model = rc.build_minimal_model(rc.conj(
         tuple(rc.Diam(add(OMEGA, from_int(k)), rc.TOP) for k in range(n))
@@ -492,7 +493,7 @@ def test_closure_rank_dtype_holds_wide_tables():
     for i in range(1, n + 1):
         want.append({j: min(j, i - 1) for j in range(1, n + 1) if min(j, i - 1)})
     assert model.edges == want
-    assert len(model.strengths) - 1 == n and model.matrix.max() == n > 255
+    assert len(model.strengths) - 1 == n
     top, below = (rc.Diam(add(OMEGA, from_int(k)), rc.TOP) for k in (n - 1, n - 2))
     assert rc.model_check(model, 0, rc.Diam(top.index, below))
     assert not rc.model_check(model, 0, rc.Diam(top.index, top))
@@ -644,33 +645,29 @@ def test_derives_matches_reference_on_benchmark_pairs():
 
 
 def test_close_records_a_reason_that_holds_in_the_closed_matrix():
-    # Recording changes no entry, and every entry's recorded reason holds in
-    # the final matrix: a seed is a tree edge at its seed rank; transitivity
-    # through w has both premises at least the entry; pairing from u has
-    # (u, x) above it and (u, y) at least it.  Only the matrix is read here,
-    # not the certificates built from the reasons.
-    import numpy as np
-
+    # Every edge of the closed relation, materialized as the model's dict
+    # rows, has a reason whose premises hold there: a seed is a tree edge at
+    # its seed rank; transitivity through w has both premises at least the
+    # entry; pairing from u has (u, x) above it and (u, y) at least it.  Only
+    # the closed form is read here, not the certificates built from it.
     kinds = set()
     for lhs, rhs, _ in itertools.islice(large_pairs(2032), 4):
         lhs, rhs = rc.normalize(f(lhs)), f(rhs)
-        labels, tree, rank, m, why = rc._closed(lhs, rhs, why=True)
-        assert (m == rc._closed(lhs, rhs)[3]).all()
-        n = len(labels)
-        m = m.astype(np.int64)
-        seeded = np.zeros_like(m)
-        for x, y, d in tree:
-            seeded[x, y] = rank[d.index]
-        x, y = np.nonzero(m)
-        v, r = m[x, y], why[x, y]
-        seed, pair = r < 0, r >= n
-        trans = ~seed & ~pair
-        assert (seeded[x, y][seed] == v[seed]).all()
-        w = r[trans]
-        assert (m[x[trans], w] >= v[trans]).all() and (m[w, y[trans]] >= v[trans]).all()
-        u = r[pair] - n
-        assert (m[u, x[pair]] > v[pair]).all() and (m[u, y[pair]] >= v[pair]).all()
-        kinds |= {k for k, hit in (("seed", seed), ("trans", trans), ("pair", pair)) if hit.any()}
+        extractor = rc._Extractor(lhs, rhs)
+        model = extractor.model
+        m = model.edges
+        for x, row in enumerate(m):
+            for y, v in row.items():
+                w, paired = extractor.reason(x, y)
+                if w is None:
+                    assert model.parent[y] == x and model.seed[y] == v
+                    kinds.add("seed")
+                elif not paired:
+                    assert m[x].get(w, 0) >= v and m[w].get(y, 0) >= v
+                    kinds.add("trans")
+                else:
+                    assert m[w].get(x, 0) > v and m[w].get(y, 0) >= v
+                    kinds.add("pair")
     assert kinds == {"seed", "trans", "pair"}
 
 
