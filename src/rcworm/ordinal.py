@@ -22,7 +22,10 @@ such number is 6 (it decodes to the increasing term list [1, eps0]).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+import gc
 from math import isqrt
+from operator import attrgetter
 import weakref
 
 from .errors import (
@@ -45,20 +48,91 @@ sits far above every literal the tests and fixtures use (the largest is
 # node whose fields equal a live node's returns that node.  Every notation has
 # one normal form, so equal notations are the same object, and equality and
 # hashing are object identity.  The tables hold their nodes weakly, and take
-# no lock.  Nodes are never mutated, apart from filling in their Godel code
-# cache.  The two classes keep constructors of their own: moved onto the
-# generic hashcons.Node, they cut perfbench queries-small from about 890 to
-# 815 ops/s (three alternating runs each, on a shared 2-vCPU machine).
+# no lock.  A node never changes what it denotes; it mutates only its caches:
+# the Godel code, once computed, and a term's order label, which a relabel
+# rewrites.
+#
+# Order labels (Dietz & Sleator, "Two algorithms for maintaining order in a
+# list", STOC 1987): every live term in normal form carries an integer label,
+# and labels increase with the terms' values.  _LABELLED holds weak references
+# to the labelled terms, sorted by label.  A new term is binary-searched in
+# with the structural _cmp_term, takes the midpoint of its neighbours' labels,
+# and the whole list is relabelled evenly only when no gap is left.  A dead
+# term is dropped by bisecting on the label its weak reference carries.  A
+# term whose index or argument is not a normal form, or whose argument is a
+# fixed point of phi_index, gets no label and is compared structurally, so two
+# labelled terms never tie, and compare decides two normal summands by one
+# label comparison.
 
 _TERMS = weakref.WeakValueDictionary()  # (index, argument) -> VeblenTerm
 _ORDINALS = weakref.WeakValueDictionary()  # term tuple -> Ordinal
-_BY_CODE = weakref.WeakValueDictionary()  # Godel code -> Ordinal
+_BY_CODE = weakref.WeakValueDictionary()  # Godel code -> normal-form Ordinal
+_LABELLED = []  # _LabelRef to each labelled term, by increasing label
+_LABEL_GAP = 1 << 48  # label spacing after a relabel, and past either end
+
+
+class _LabelRef(weakref.ref):
+    """A weak reference to a labelled term that carries the term's label, so
+    the term's slot in _LABELLED can be found after it dies."""
+
+    __slots__ = ("label",)
+
+
+_label_of = attrgetter("label")
+
+
+def _unlabel(ref):
+    del _LABELLED[bisect_left(_LABELLED, ref.label, key=_label_of)]
+
+
+def _label(term):
+    """Give a new normal-form term its label and splice it into _LABELLED."""
+    enabled = gc.isenabled()
+    gc.disable()  # a collection would run _unlabel and shift the list mid-search
+    try:
+        lo, hi = 0, len(_LABELLED)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _cmp_term(term, _LABELLED[mid]()) < 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        label = _free_label(lo)
+        if label is None:
+            _relabel()
+            label = _free_label(lo)
+        ref = _LabelRef(term, _unlabel)
+        ref.label = term.label = label
+        _LABELLED.insert(lo, ref)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _free_label(i):
+    """A label between those of _LABELLED[i - 1] and _LABELLED[i], or None."""
+    if not _LABELLED:
+        return 0
+    if i == 0:
+        return _LABELLED[0].label - _LABEL_GAP
+    if i == len(_LABELLED):
+        return _LABELLED[-1].label + _LABEL_GAP
+    low, high = _LABELLED[i - 1].label, _LABELLED[i].label
+    label = (low + high) // 2
+    return label if label > low else None
+
+
+def _relabel():
+    """Spread the labels _LABEL_GAP apart, in their order."""
+    for i, ref in enumerate(_LABELLED):
+        ref.label = ref().label = i * _LABEL_GAP
 
 
 class VeblenTerm:
-    """One summand phi(index, argument); `_code` caches its pair code."""
+    """One summand phi(index, argument); `_code` caches its pair code, and
+    `label` is its order label, or None when the term is no normal form."""
 
-    __slots__ = ("index", "argument", "_code", "__weakref__")
+    __slots__ = ("index", "argument", "_code", "label", "__weakref__")
 
     def __new__(cls, index, argument):
         key = (index, argument)
@@ -68,7 +142,10 @@ class VeblenTerm:
             node.index = index
             node.argument = argument
             node._code = None
+            node.label = None
             _TERMS[key] = node
+            if index._normal and argument._normal and not _fixed_point(index, argument):
+                _label(node)
         return node
 
     def __reduce__(self):
@@ -80,9 +157,10 @@ class VeblenTerm:
 
 class Ordinal:
     """A notation: tuple of VeblenTerm summands, largest first.  () is 0.
-    `_code` caches its Godel code once computed."""
+    `_code` caches its Godel code once computed; `_normal` says whether the
+    notation is a normal form."""
 
-    __slots__ = ("terms", "_code", "__weakref__")
+    __slots__ = ("terms", "_code", "_normal", "__weakref__")
 
     def __new__(cls, terms=()):
         terms = tuple(terms)
@@ -91,6 +169,7 @@ class Ordinal:
             node = object.__new__(cls)
             node.terms = terms
             node._code = None
+            node._normal = _non_increasing(terms)
             _ORDINALS[terms] = node
         return node
 
@@ -101,15 +180,23 @@ class Ordinal:
         return not self.terms
 
     def __lt__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return compare(self, other) < 0
 
     def __le__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return compare(self, other) <= 0
 
     def __gt__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return compare(self, other) > 0
 
     def __ge__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return compare(self, other) >= 0
 
     def __repr__(self):
@@ -118,13 +205,21 @@ class Ordinal:
         return "Ordinal<%s>" % render(self)
 
 
-ZERO = Ordinal()
-ONE = Ordinal((VeblenTerm(ZERO, ZERO),))
-OMEGA = Ordinal((VeblenTerm(ZERO, ONE),))
-EPS0 = Ordinal((VeblenTerm(ONE, ZERO),))
-_UNIT = ONE.terms[0]  # phi(0, 0), the summand of a natural
-ZERO._code = 0
-_BY_CODE[0] = ZERO
+def _non_increasing(terms):
+    """Whether every summand is labelled and no label exceeds the one before:
+    the summand conditions of a normal form."""
+    last = None
+    for t in terms:
+        label = t.label
+        if label is None or (last is not None and label > last):
+            return False
+        last = label
+    return True
+
+
+def _fixed_point(a, b):
+    """Whether b is a fixed point of phi_a: one term phi(c, d) with c > a."""
+    return len(b.terms) == 1 and compare(b.terms[0].index, a) > 0
 
 
 def _cmp_term(s, t):
@@ -138,27 +233,51 @@ def _cmp_term(s, t):
     return -_cmp_with_term(t.argument, s)
 
 
+def _cmp_summand(s, t):
+    """_cmp_term, by one label comparison when both terms are labelled."""
+    if s is t:
+        return 0
+    if s.label is None or t.label is None:
+        return _cmp_term(s, t)
+    return -1 if s.label < t.label else 1
+
+
 def _cmp_with_term(a, t):
     """compare(a, Ordinal((t,))) without building the one-term notation."""
     if not a.terms:
         return -1
-    c = _cmp_term(a.terms[0], t)
+    c = _cmp_summand(a.terms[0], t)
     if c != 0 or len(a.terms) == 1:
         return c
     return 1
 
 
 def compare(a, b):
-    """Trichotomous order on notations: -1, 0 or 1."""
+    """Trichotomous order on notations: -1, 0 or 1.  The first pair of
+    summands that are not one object decides, by their labels when both
+    have one (_cmp_summand, inlined on this hot path)."""
     if a is b:
         return 0
     for s, t in zip(a.terms, b.terms):
-        c = _cmp_term(s, t)
-        if c != 0:
-            return c
+        if s is not t:
+            if s.label is None or t.label is None:
+                c = _cmp_term(s, t)
+                if c != 0:
+                    return c
+            else:
+                return -1 if s.label < t.label else 1
     if len(a.terms) == len(b.terms):
         return 0
     return -1 if len(a.terms) < len(b.terms) else 1
+
+
+ZERO = Ordinal()
+ONE = Ordinal((VeblenTerm(ZERO, ZERO),))
+OMEGA = Ordinal((VeblenTerm(ZERO, ONE),))
+EPS0 = Ordinal((VeblenTerm(ONE, ZERO),))
+_UNIT = ONE.terms[0]  # phi(0, 0), the summand of a natural
+ZERO._code = 0
+_BY_CODE[0] = ZERO
 
 
 def is_normal_form(a):
@@ -170,9 +289,8 @@ def is_normal_form(a):
             return False
         if not (is_normal_form(t.index) and is_normal_form(t.argument)):
             return False
-        arg = t.argument
-        if len(arg.terms) == 1 and compare(arg.terms[0].index, t.index) > 0:
-            return False  # argument is a fixed point of phi_index
+        if _fixed_point(t.index, t.argument):
+            return False
         if i + 1 < len(a.terms) and _cmp_term(t, a.terms[i + 1]) < 0:
             return False  # summands must be non-increasing
     return True
@@ -184,7 +302,7 @@ def add(a, b):
         return a
     head = b.terms[0]
     i = len(a.terms)
-    while i > 0 and _cmp_term(a.terms[i - 1], head) < 0:
+    while i > 0 and _cmp_summand(a.terms[i - 1], head) < 0:
         i -= 1
     return Ordinal(a.terms[:i] + b.terms)
 
@@ -194,7 +312,7 @@ def left_subtract(a, b):
     for i, s in enumerate(a.terms):
         if i >= len(b.terms):
             raise UndefinedError("left difference undefined: minuend is smaller")
-        c = _cmp_term(s, b.terms[i])
+        c = _cmp_summand(s, b.terms[i])
         if c < 0:
             return Ordinal(b.terms[i:])
         if c > 0:
@@ -208,7 +326,7 @@ def phi(a, b):
     When b is already a fixed point of phi_a (a single term with larger
     index) the constructor collapses onto b instead of nesting.
     """
-    if len(b.terms) == 1 and compare(b.terms[0].index, a) > 0:
+    if _fixed_point(a, b):
         return b
     return Ordinal((VeblenTerm(a, b),))
 
@@ -315,7 +433,8 @@ def godel_code(a, max_bits=None):
                 t._code = _pair(godel_code(t.index, max_bits), godel_code(t.argument, max_bits))
             code = _check_bits(_pair(t._code, code) + 1, max_bits)
         a._code = code
-        _BY_CODE[code] = a
+        if a._normal:
+            _BY_CODE[code] = a
     return _check_bits(code, max_bits)
 
 
@@ -338,23 +457,32 @@ def godel_decode(n):
 def _decode(n):
     """The notation with code n, or None when n codes no normal form.
 
-    A code resolves through the code index, so a live sub-notation is never
-    decoded or checked again.  A new node is built from parts that are
-    already normal forms, so only the two local conditions need checking."""
+    Summands are peeled off n until the rest of the code resolves through the
+    code index, so a live sub-notation is never decoded or checked again, and
+    only the whole notation is built and indexed.  The index and argument of
+    each new summand are normal forms, so the summand is labelled exactly
+    when its argument is no fixed point of phi_index, and labels order the
+    summands."""
     node = _BY_CODE.get(n)
-    if node is None:
-        u, rest = _unpair(n - 1)
+    heads, rest = [], n
+    while node is None:
+        u, rest = _unpair(rest - 1)
         i, b = _unpair(u)
-        index, argument, tail = _decode(i), _decode(b), _decode(rest)
-        if index is None or argument is None or tail is None:
+        index, argument = _decode(i), _decode(b)
+        if index is None or argument is None:
             return None
-        if len(argument.terms) == 1 and compare(argument.terms[0].index, index) > 0:
-            return None  # argument is a fixed point of phi_index
         head = VeblenTerm(index, argument)
-        if tail.terms and _cmp_term(head, tail.terms[0]) < 0:
+        if head.label is None:
+            return None  # argument is a fixed point of phi_index
+        if heads and heads[-1].label < head.label:
             return None  # summands must be non-increasing
         head._code = u
-        node = Ordinal((head,) + tail.terms)
+        heads.append(head)
+        node = _BY_CODE.get(rest)
+    if heads:
+        if node.terms and heads[-1].label < node.terms[0].label:
+            return None
+        node = Ordinal(tuple(heads) + node.terms)
         node._code = n
         _BY_CODE[n] = node
     return node

@@ -6,8 +6,10 @@ before the implementation existed, then frozen.
 
 import copy
 import gc
+import operator
 import pickle
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -246,8 +248,45 @@ def test_decode_matches_reference_on_random_normal_forms():
             assert reference_decode(bad) is None and decoded(bad) is None, a
 
 
+def test_decode_refuses_permuted_summands_as_reference_does():
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(1000):
+        terms = list(rand_normal_form(rng).terms)
+        rng.shuffle(terms)
+        n = raw_code(terms)
+        want = reference_decode(n)
+        assert decoded(n) is want, terms
+        refused += want is None
+    assert 0 < refused < 1000
+
+
+def test_decoding_onto_a_live_tail_builds_one_notation():
+    # eps0*3 + w + 3 over the live tail w + 3: the two partial sums
+    # eps0 + w + 3 and eps0*2 + w + 3 are never built
+    tail = add(OMEGA, from_int(3))
+    godel_code(tail)
+    head = EPS0.terms[0]
+    n = raw_code((head,) * 3 + tail.terms)
+    gc.collect()
+    before = len(ordinal._ORDINALS), len(ordinal._BY_CODE)
+    a = godel_decode(n)
+    assert a.terms == (head,) * 3 + tail.terms
+    assert (len(ordinal._ORDINALS), len(ordinal._BY_CODE)) == (before[0] + 1, before[1] + 1)
+
+
+def test_coding_a_non_normal_notation_does_not_index_it():
+    # raw_decode(6) is the increasing sum 1 + eps0: its code is 6, and 6
+    # still decodes to nothing
+    a = raw_decode(6)
+    assert godel_code(a) == 6
+    with pytest.raises(InvalidCodeError):
+        godel_decode(6)
+
+
 def table_sizes():
-    return len(ordinal._TERMS), len(ordinal._ORDINALS), len(ordinal._BY_CODE)
+    return (len(ordinal._TERMS), len(ordinal._ORDINALS), len(ordinal._BY_CODE),
+            len(ordinal._LABELLED))
 
 
 def test_equal_notations_are_one_object():
@@ -290,6 +329,7 @@ def test_intern_tables_hold_nodes_weakly():
     del pool, made, a, b, x
     gc.collect()
     assert all(e <= s + 10 for e, s in zip(table_sizes(), start)), (start, table_sizes())
+    assert len(ordinal._LABELLED) == start[-1]
 
 
 def test_decoding_known_codes_builds_and_checks_nothing(monkeypatch):
@@ -310,6 +350,16 @@ def test_decoding_known_codes_builds_and_checks_nothing(monkeypatch):
     second = [godel_decode(n) for n in codes]
     assert table_sizes() == sizes and not unpaired
     assert all(x is y for x, y in zip(first, second))
+
+
+def test_rich_comparisons_refuse_foreign_operands():
+    assert OMEGA < EPS0 and OMEGA <= OMEGA and EPS0 > ONE and EPS0 >= EPS0
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for x, y in ((OMEGA, 3), (3, OMEGA), (OMEGA, None)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    with pytest.raises(TypeError):
+        sorted([OMEGA, None])
 
 
 @given(ordinals())
@@ -408,3 +458,83 @@ def test_cnf_exponents_reconstruct(a):
 def test_paper_phi_agrees_at_positive_index(a, b):
     a1 = add(a, ONE)
     assert paper_phi(a1, b) == phi(a1, b)
+
+
+def check_labels():
+    """Every entry of the label list is a live term carrying the entry's
+    label, labels strictly increase along the list, and neighbours increase
+    in value by the reference comparison."""
+    refs = list(ordinal._LABELLED)
+    terms = [r() for r in refs]
+    assert all(t is not None and t.label == r.label for r, t in zip(refs, terms))
+    assert all(r.label < q.label for r, q in zip(refs, refs[1:]))
+    for s, t in zip(terms, terms[1:]):
+        assert reference_cmp_term(s, t) < 0, (s, t)
+
+
+def churn(seed):
+    """Build random normal forms and drop them in random order, checking
+    the label list after every round of deaths."""
+    rng = random.Random(seed)
+    gc.collect()
+    start = len(ordinal._LABELLED)
+    live, sizes = [], []
+    for _ in range(30):
+        live += [rand_ordinal(rng, 4) for _ in range(rng.randrange(40))]
+        sizes.append(len(ordinal._LABELLED))
+        rng.shuffle(live)
+        del live[:rng.randrange(len(live) + 1)]
+        gc.collect()
+        sizes.append(len(ordinal._LABELLED))
+        check_labels()
+    assert max(sizes) > start + 50 and any(y < x for x, y in zip(sizes, sizes[1:]))
+    del live
+    gc.collect()
+    check_labels()
+    assert len(ordinal._LABELLED) == start
+
+
+def test_labels_survive_churn():
+    churn(61)
+
+
+def test_labels_survive_forced_relabelling(monkeypatch):
+    # with a gap of 2 nearly every insert between two neighbours relabels
+    relabels = []
+    relabel = ordinal._relabel
+    monkeypatch.setattr(ordinal, "_LABEL_GAP", 2)
+    monkeypatch.setattr(ordinal, "_relabel", lambda: relabels.append(1) or relabel())
+    churn(67)
+    assert len(relabels) > 50
+
+
+def test_terms_with_non_normal_parts_stay_unlabelled():
+    rng = random.Random(71)
+    raws = [raw_decode(n) for n in rng.sample(range(20_000), 600)]
+    raws = [a for a in raws if not is_normal_form(a)]
+    fixed = VeblenTerm(ZERO, EPS0)  # phi(0, eps0) = eps0, spelled with a fixed point
+    raws.append(Ordinal((fixed, ONE.terms[0])))
+    terms = {t for a in raws for t in a.terms}
+    assert fixed.label is None and sum(t.label is None for t in terms) > 30
+    for t in terms:
+        assert (t.label is None) == (not is_normal_form(Ordinal((t,))))
+    notations = raws + [rand_ordinal(rng, 3) for _ in range(300)] + [EPS0, add(EPS0, ONE)]
+    for a in notations:
+        for b in rng.sample(notations, 40) + [EPS0, add(EPS0, ONE)]:
+            assert compare(a, b) == reference_compare(a, b), (a, b)
+    check_labels()
+
+
+def test_sorting_decoded_notations_needs_no_structural_comparison(monkeypatch):
+    # criterion 5's notations: once they are decoded every summand is
+    # labelled, so the sort and the pairwise sweep compare labels only
+    notations = [a for a in map(decoded, range(5001)) if a is not None]
+    assert len(notations) == 2069
+    calls = []
+    cmp_term = ordinal._cmp_term
+    monkeypatch.setattr(ordinal, "_cmp_term", lambda s, t: calls.append((s, t)) or cmp_term(s, t))
+    notations.sort(key=cmp_to_key(compare))
+    for i, small in enumerate(notations):
+        for large in notations[i + 1:]:
+            assert compare(small, large) < 0 and compare(large, small) > 0
+    assert not calls
