@@ -23,6 +23,7 @@ such number is 6 (it decodes to the increasing term list [1, eps0]).
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cmp_to_key
 import gc
 from math import isqrt
 from operator import attrgetter
@@ -36,7 +37,8 @@ from .errors import (
 )
 
 MAX_SUMMANDS = 10**6
-"""Most equal summands a natural or an `a*n` repetition may spell out.
+"""Most equal summands a natural or an `a*n` repetition may spell out, and
+most summands the terms of a parsed sum may spell out in all.
 
 A natural n is stored as n summands phi(0, 0), so larger naturals are
 refused with OrdinalOverflowError before anything is allocated.  The cap
@@ -271,6 +273,12 @@ def compare(a, b):
     return -1 if len(a.terms) < len(b.terms) else 1
 
 
+def ranks(xs):
+    """Each distinct notation of xs -> its place 1, 2, ... in the ordinal order
+    (notations are interned, so equal notations are one key)."""
+    return {x: i for i, x in enumerate(sorted(set(xs), key=cmp_to_key(compare)), 1)}
+
+
 ZERO = Ordinal()
 ONE = Ordinal((VeblenTerm(ZERO, ZERO),))
 OMEGA = Ordinal((VeblenTerm(ZERO, ONE),))
@@ -298,13 +306,22 @@ def is_normal_form(a):
 
 def add(a, b):
     """Ordinal sum.  Trailing summands of a below b's head are absorbed."""
-    if not b.terms:
-        return a
-    head = b.terms[0]
-    i = len(a.terms)
-    while i > 0 and _cmp_summand(a.terms[i - 1], head) < 0:
-        i -= 1
-    return Ordinal(a.terms[:i] + b.terms)
+    return add_all((a, b)) if b.terms else a
+
+
+def add_all(parts):
+    """The sum of the parts, left to right, by add's absorption on one list
+    of summands, with one notation built at the end."""
+    terms = []
+    for b in parts:
+        if b.terms:
+            head = b.terms[0]
+            i = len(terms)
+            while i > 0 and _cmp_summand(terms[i - 1], head) < 0:
+                i -= 1
+            del terms[i:]
+            terms += b.terms
+    return Ordinal(terms)
 
 
 def left_subtract(a, b):
@@ -349,10 +366,7 @@ def omega_power(a):
 
 def omega_times(a):
     """w * a, by left distributivity over a's Cantor normal form."""
-    out = ZERO
-    for e in cnf_exponents(a):
-        out = add(out, omega_power(add(ONE, e)))
-    return out
+    return add_all([omega_power(add(ONE, e)) for e in cnf_exponents(a)])
 
 
 def cnf_exponents(a):

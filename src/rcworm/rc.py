@@ -30,12 +30,10 @@ variable-free formula off worm order types alone, with no model.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-
 from .errors import BudgetExceededError, NotVariableFreeError
 from .hashcons import Node
-from .ordinal import compare
-from .worm import MAX_DISTINCT_LETTERS, Worm, compare_at, order_type
+from .ordinal import compare, ranks
+from .worm import Worm, compare_at, order_type
 
 
 # ---------------------------------------------------------------- formulas
@@ -258,7 +256,7 @@ def build_minimal_model(f, g=TOP):
     """Tree model of f: one node per diamond occurrence plus the root
     (_seed), over the distinct indices of f and g ranked together."""
     labels, tree = _seed(f)
-    rank = _ranks([d.index for _, _, d in tree] + _indices(g))
+    rank = ranks([d.index for _, _, d in tree] + _indices(g))
     return RcModel(labels, [-1] + [x for x, _, _ in tree],
                    [0] + [rank[d.index] for _, _, d in tree], rank, f)
 
@@ -748,13 +746,7 @@ class _Extractor:
 def merge_words(a, b):
     """Two words merged head first: the larger head goes first and equal
     heads are kept once.  Often, not always, equivalent to their conjunction."""
-    return Worm(_merge(a.letters, b.letters, _ranks(a.letters + b.letters)))
-
-
-def _ranks(letters):
-    """Each distinct letter -> its place 1, 2, ... in the ordinal order
-    (notations are interned, so equal letters are one key)."""
-    return {x: i for i, x in enumerate(sorted(set(letters), key=cmp_to_key(compare)), 1)}
+    return Worm(_merge(a.letters, b.letters, ranks(a.letters + b.letters)))
 
 
 def _merge(a, b, rank):
@@ -792,8 +784,8 @@ def _conj_words(a, b, rank):
 def word_normal_form(f):
     """The worm equivalent to a variable-free formula: the merge_words fold
     when it has the order type of the exact word of _conj_words (and so is
-    equivalent to it), else the exact word.  More than MAX_DISTINCT_LETTERS
-    distinct indices, the order types' cap, raise BudgetExceededError."""
+    equivalent to it), else the exact word.  BudgetExceededError only when
+    an order type it needs is of a worm past worm.MAX_DISTINCT_LETTERS."""
     merged, exact = _words(f)
     if merged != exact and compare(order_type(Worm(merged)), order_type(Worm(exact))):
         return Worm(exact)
@@ -819,10 +811,7 @@ def _words(f):
             raise NotVariableFreeError("word normal forms exist only for variable-free formulas")
         else:
             steps.append(g if isinstance(g, (tuple, int)) else ())
-    if len(letters) > MAX_DISTINCT_LETTERS:
-        raise BudgetExceededError(
-            "formula has more than %d distinct indices" % MAX_DISTINCT_LETTERS)
-    rank, done = _ranks(letters), []
+    rank, done = ranks(letters), []
     for step in steps:
         if isinstance(step, int):
             merged = exact = ()

@@ -26,7 +26,7 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
-    add,
+    add_all,
     check_summands,
     from_int,
     omega_power,
@@ -179,11 +179,14 @@ class _Parser(Scanner):
     # ---- ordinals
 
     def ordinal(self):
-        total = self.ord_term()
+        parts = [self.ord_term()]
+        spelled = len(parts[0].terms)
         while self.peek() == "+":
             self.next()
-            total = add(total, self.ord_term())
-        return total
+            parts.append(self.ord_term())
+            spelled += len(parts[-1].terms)
+            check_summands(spelled)  # before the next term is built
+        return add_all(parts)
 
     def ord_term(self):
         tok = self.peek()
@@ -268,19 +271,7 @@ class _Parser(Scanner):
         while self.peek() == "&":
             self.next()
             parts.append(self.formula_unary())
-        if len(parts) == 1:
-            return parts[0]
-        flat = []
-        for p in parts:  # "&" flattens but keeps duplicates
-            if isinstance(p, And):
-                flat.extend(p.conjuncts)
-            elif p is not TOP:
-                flat.append(p)
-        if not flat:
-            return TOP
-        if len(flat) == 1:
-            return flat[0]
-        return And(flat)
+        return conj(parts)  # "&" flattens but keeps duplicates
 
     def formula_unary(self):
         indices = []  # a run of diamonds, built inside out without recursing

@@ -3,7 +3,9 @@
 A worm is a finite sequence of ordinal notations, leftmost letter outermost;
 the empty worm is the top formula.  order_type computes the position of a
 worm in the well-order that derivability induces on words: worms compare at
-level alpha exactly as their order types at alpha do.
+level alpha exactly as their order types at alpha do.  Order types at every
+level are folded over the worm's least-letter splits from an explicit stack
+(_fold), so nothing here recurses and no lowered worm is built.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from .ordinal import (
     ONE,
     Ordinal,
     add,
+    add_all,
     cnf_exponents,
     compare,
     left_subtract,
     omega_power,
     paper_phi,
+    ranks,
 )
 
 
@@ -57,8 +61,9 @@ class Worm:
 
 EMPTY = Worm()
 
-# order_type recurses about twice per distinct letter; worms with more
-# distinct letters than this are refused before the recursion starts.
+# An order type nests about one Veblen level per distinct letter, and ordinal
+# comparison walks that nesting recursively; worms with more distinct letters
+# than this are refused before any ordinal arithmetic.
 MAX_DISTINCT_LETTERS = 300
 
 
@@ -80,54 +85,70 @@ def lower(alpha, w):
 
 
 def order_type(w):
-    """Position of w in the well-order on words over level 0.
-
-    Empty worm: 0.  If zero letters occur, split at them into
-    C0 0 C1 0 ... 0 Ck with every Cj zero-free; then
-    o(A) = o(Ck) + w^o(C(k-1) lowered by 1) + ... + w^o(C0 lowered by 1),
-    which unrolls o(C 0 B) = o(B) + w^o(C lowered by 1) over every zero.
-    Otherwise let m be the least letter and [m1 >= ... >= mk] its base-w
-    exponents: o(A) = paper_phi(m1, ... paper_phi(mk, -1 + o(A lowered by m))).
-    The inner -1 + x is total because the lowered worm contains a zero letter.
-    Lowering maps letters one-to-one, so the recursion is at most about twice
-    as deep as w has distinct letters; past MAX_DISTINCT_LETTERS of them this
-    raises BudgetExceededError.
-    """
-    if len(set(w.letters)) > MAX_DISTINCT_LETTERS:
-        raise BudgetExceededError(
-            "worm has more than %d distinct letters" % MAX_DISTINCT_LETTERS
-        )
-    return _order_type(w)
-
-
-def _order_type(w):
-    letters = w.letters
-    if not letters:
-        return ZERO
-    blocks = [[]]
-    for letter in letters:
-        if letter.is_zero():
-            blocks.append([])
-        else:
-            blocks[-1].append(letter)
-    if len(blocks) > 1:
-        acc = _order_type(Worm(blocks[-1]))
-        for block in reversed(blocks[:-1]):
-            acc = add(acc, omega_power(_order_type(lower(ONE, Worm(block)))))
-        return acc
-    m = letters[0]
-    for letter in letters[1:]:
-        if compare(letter, m) < 0:
-            m = letter
-    inner = left_subtract(ONE, _order_type(lower(m, w)))
-    for e in reversed(cnf_exponents(m)):
-        inner = paper_phi(e, inner)
-    return inner
+    """Position of w in the well-order on words over level 0 (_fold)."""
+    return _fold(w.letters, ZERO)
 
 
 def order_type_at(alpha, w):
-    """Order type of w inside the alpha fragment."""
-    return order_type(lower(alpha, w))
+    """Order type of w inside the alpha fragment: that of w lowered by alpha."""
+    if not in_fragment(alpha, w):
+        raise NotInFragmentError("worm has a letter below the requested level")
+    return _fold(w.letters, alpha)
+
+
+def _fold(letters, base):
+    """Order type at level base of the worm with these letters, all >= base.
+
+    With o_b the order type at level b, the empty worm has o_b = 0.  Else let
+    m be the least letter and split at it into C0 m C1 m ... m Ck.  Lowering
+    composes (lowering by b and then by -b + m is lowering by m), so
+    unrolling o(C 0 B) = o(B) + w^o(C lowered by 1) over the zeros of the
+    worm lowered by m gives s = o_m(Ck) + w^o_(m+1)(C(k-1)) + ... +
+    w^o_(m+1)(C0).  If m = base, o_base = s; else, with [e1 >= ... >= ej]
+    the base-w exponents of -base + m, o_base = paper_phi(e1, ...
+    paper_phi(ej, -1 + s)), where -1 + s is total because s >= 1.
+
+    Blocks are index ranges, expanded from a stack in preorder (Ck first
+    after its parent) and folded in reverse, so the values of a block's
+    children top `values`, Ck's topmost.  Past MAX_DISTINCT_LETTERS distinct
+    letters this raises BudgetExceededError.
+    """
+    if len(set(letters)) > MAX_DISTINCT_LETTERS:
+        raise BudgetExceededError(
+            "worm has more than %d distinct letters" % MAX_DISTINCT_LETTERS
+        )
+    rank = ranks(letters)
+    ranked = [rank[x] for x in letters]
+    steps, todo = [], [(0, len(letters), base)]
+    while todo:
+        lo, hi, b = todo.pop()
+        if lo == hi:
+            steps.append(None)
+            continue
+        block = ranked[lo:hi]
+        least = min(block)
+        cuts = [i for i, r in enumerate(block, lo) if r == least]
+        m = letters[cuts[0]]
+        steps.append((b, m, len(cuts)))
+        up = add(m, ONE) if cuts[-1] - lo >= len(cuts) else None  # some Cj, j < k, is not empty
+        for cut in cuts:
+            todo.append((lo, cut, up))
+            lo = cut + 1
+        todo.append((lo, hi, m))
+    values = []
+    for step in reversed(steps):
+        if step is None:
+            values.append(ZERO)
+            continue
+        b, m, k = step
+        s = add_all([values.pop()] + [omega_power(values.pop()) for _ in range(k)])
+        d = left_subtract(b, m)
+        if not d.is_zero():
+            s = left_subtract(ONE, s)
+            for e in reversed(cnf_exponents(d)):
+                s = paper_phi(e, s)
+        values.append(s)
+    return values[0]
 
 
 def compare_at(alpha, a, b):

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -21,7 +23,8 @@ from rcworm.ordinal import godel_code
 from rcworm.syntax import MAX_NESTING, parse_formula, parse_ordinal, parse_worm, render
 from rcworm.truthcore import TRUTH_CAP, parse_truth_formula, render_formula
 
-CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "known-values.txt"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "fixtures" / "known-values.txt"
 
 
 def run(capsys, *argv):
@@ -121,6 +124,40 @@ _README_CERTIFICATE = """true
 def test_readme_certificate(capsys):
     code, out = run(capsys, "rc", "derives", "<2>p & <1>q", "<2>(p & <1>q)", "--certificate")
     assert (code, out) == (0, _README_CERTIFICATE)
+
+
+def readme_examples():
+    """(command line, lines shown under it) for each `$ rcworm` line of the
+    README's sh blocks."""
+    examples, in_sh = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("$ "):
+            examples.append((line[2:], []))
+        elif in_sh and examples:
+            examples[-1][1].append(line)
+    return examples
+
+
+def shows(want, out):
+    """Whether out reads as the lines want, where a `...` line stands for any
+    run of lines."""
+    pattern = "\n".join(".*?" if line == "..." else re.escape(line) for line in want)
+    return re.fullmatch(pattern, out, re.S) is not None
+
+
+def test_readme_examples(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the fixture example names a path from the root
+    examples = readme_examples()
+    assert len(examples) == (ROOT / "README.md").read_text().count("\n$ rcworm ")
+    for command, want in examples:
+        if not want:
+            continue  # shows no output
+        argv = shlex.split(command, comments=True)
+        assert argv[0] == "rcworm", command
+        code, out = run(capsys, *argv[1:])
+        assert code == 0 and shows(want, out), (command, out)
 
 
 def test_certificate_for_a_sequent_the_bounded_search_missed(capsys):
@@ -347,11 +384,15 @@ def test_ord_code_refused_before_the_whole_code_exists(capsys):
 
 
 def test_huge_natural_literals_refused(capsys):
-    for a in ("999999999999", "99999999999999999999", "w*99999999999"):
+    for a in ("999999999999", "99999999999999999999", "w*99999999999", "+".join(["999999"] * 20)):
         start = time.perf_counter()
         code, out = run(capsys, "ord", "compare", a, "1")
         assert time.perf_counter() - start < 1.0, a
         assert code == 1 and out.startswith("error:"), (a, out)
+    start = time.perf_counter()
+    code, out = run(capsys, "ord", "compare", "+".join(["1"] * 20000), "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, ">")
 
 
 def test_truth_budget_refuses_at_once(capsys):

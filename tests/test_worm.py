@@ -6,6 +6,7 @@ over the head exponents) before running the code.
 """
 
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from rcworm.ordinal import (
     paper_phi,
     phi,
 )
+from rcworm import worm
 from rcworm.syntax import parse_ordinal, parse_worm
 from rcworm.worm import (
     EMPTY,
@@ -186,17 +188,52 @@ def test_order_type_matches_recursive_reference():
         assert order_type(v) is reference_order_type(v), v
 
 
+def test_order_type_at_matches_reference_on_the_lowered_worm():
+    rng = random.Random(43)
+    letters = SMALL_ORDINALS + [o("w+2"), o("w^w+1"), o("eps0+w"), o("phi(w,1)")]
+    levels = letters + [o("w+1"), o("w^w"), o("eps0")]
+    for _ in range(2000):
+        v = rand_worm(rng, max_len=9, letters=letters)
+        least = min(v.letters, key=cmp_to_key(compare), default=ZERO)
+        alpha = rng.choice([a for a in levels if compare(a, least) <= 0] + [least])
+        assert order_type_at(alpha, v) is reference_order_type(lower(alpha, v)), (alpha, v)
+
+
+def _no_lowering(alpha, v):
+    raise AssertionError("order types fold without building a lowered worm")
+
+
+def test_order_types_build_no_lowered_worm(monkeypatch):
+    monkeypatch.setattr(worm, "lower", _no_lowering)
+    test_order_type_table()
+    test_order_type_epsilon_tower()
+    test_order_type_at_levels()
+    test_compare_at()
+    test_order_type_matches_recursive_reference()
+    test_order_type_at_matches_reference_on_the_lowered_worm()
+    test_order_type_at_the_letter_cap()
+
+
 def test_order_type_of_a_long_alternating_worm():
     # one step per zero letter, so length costs no recursion depth
     assert order_type(Worm((ONE, ZERO) * 1500)) == o("w*1500")
     assert order_type(Worm((ZERO, OMEGA) * 1500)) == o("eps0*1500+1")
 
 
+def test_order_type_at_the_letter_cap():
+    increasing = Worm(from_int(i) for i in range(1, MAX_DISTINCT_LETTERS + 1))
+    shuffled = [add(OMEGA, from_int(k)) for k in range(MAX_DISTINCT_LETTERS)]
+    random.Random(47).shuffle(shuffled)
+    for v in (increasing, Worm(shuffled)):
+        assert order_type(v) is reference_order_type(v)
+    assert order_type_at(OMEGA, Worm(shuffled)) is reference_order_type(lower(OMEGA, Worm(shuffled)))
+
+
 def test_order_type_refuses_too_many_distinct_letters():
-    # recursion depth grows with the distinct letters, so they are capped
+    # a result nests about one level per distinct letter, and comparing
+    # ordinals walks that nesting recursively, so distinct letters are capped
     increasing = Worm(from_int(i) for i in range(1, 301))
     assert MAX_DISTINCT_LETTERS >= 300
-    assert order_type(increasing) is reference_order_type(increasing)
     too_many = Worm(from_int(i) for i in range(1, MAX_DISTINCT_LETTERS + 2))
     with pytest.raises(BudgetExceededError):
         order_type(too_many)
