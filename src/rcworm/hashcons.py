@@ -5,14 +5,33 @@ Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
 ML Workshop 2006): building a node whose class and fields equal a live node's
 returns that node.  Equal structure is therefore the same object, so equality
 and hashing are object identity: constant time and free of recursion however
-deep a node is.  The table holds its nodes weakly, so a node leaves it once
-nothing else refers to it.  Nodes must never be mutated, and the table takes
-no lock: build nodes from one thread at a time.
+deep a node is.  Nodes must never be mutated, and the table takes no lock:
+build nodes from one thread at a time.
+
+The table is a plain dict from the key (class, *fields) to a weak reference
+to the node that carries the same key.  A lookup is one dict.get and one call
+of the reference.  When a node dies, its reference's callback deletes the
+entry, but only while the entry is still that reference: a node rebuilt under
+the same key before the callback ran has put a new reference there, which
+stays.  So a node leaves the table once nothing else refers to it.  Because
+callbacks delete entries whenever a node dies, nothing may iterate _TABLE;
+len(_TABLE) is safe.
 """
 
 import weakref
 
-_TABLE = weakref.WeakValueDictionary()  # (class, *fields) -> node
+_TABLE = {}  # (class, *fields) -> _Ref to the node
+
+
+class _Ref(weakref.ref):
+    """A weak reference that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref):
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
 
 
 class Node:
@@ -24,15 +43,19 @@ class Node:
 
     def __new__(cls, *fields):
         key = (cls,) + fields
-        node = _TABLE.get(key)
-        if node is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                setattr(node, name, value)
-            node._fill()
-            _TABLE[key] = node
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(fields) != len(cls.__slots__):
+            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(node, name, value)
+        node._fill()
+        ref = _TABLE[key] = _Ref(node, _drop)
+        ref.key = key
         return node
 
     def __repr__(self):

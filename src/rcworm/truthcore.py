@@ -13,7 +13,9 @@ unbounded.  The bounded fragment is decided three independent ways:
 
 is_evaluation checks the thirteen local-correctness clauses one by one and
 reports the first offender, so any disagreement between the three routes is
-attributable to a specific clause.
+attributable to a specific clause.  build_evaluation and is_evaluation take
+a bounded quantifier's instances from one plan per quantifier (_instances);
+direct_eval instantiates by subst, independently of the plan.
 """
 
 from .errors import BudgetExceededError, NotInFragmentError, ParseError
@@ -21,6 +23,7 @@ from .hashcons import Node
 from .syntax import Scanner
 
 from functools import reduce
+import itertools
 import json
 import re
 
@@ -256,13 +259,76 @@ def subst(f, name, repl):
     return type(f)(f.var, subst(f.body, name, repl))
 
 
+def _pack(*terms):
+    return terms
+
+
+def _plan(body, var):
+    """The nodes of body in which var is free, in post-order, as steps
+    (cls, args, holes).  Slot 0 is the numeral put for var and slot k the
+    node of step k.  Step k builds cls(*args) once each of its holes (i, j)
+    has put slot j in args[i]; the other args are the node's own fields.  An
+    atom's terms tuple is a step of its own, of class _pack."""
+    steps = []
+    slots = {Var(var): 0}
+    todo = [(body, None, None, None)]
+    while todo:
+        node, cls, args, live = todo.pop()
+        if live is not None:  # every live field has its slot now
+            steps.append((cls, args, [(i, slots[args[i]]) for i in live]))
+            slots[node] = len(steps)
+        elif node not in slots:
+            if isinstance(node, tuple):
+                cls, args = _pack, list(node)
+            else:
+                cls = type(node)
+                args = [getattr(node, name) for name in cls.__slots__]
+            # an atom's terms are live with it; a quantifier over var binds
+            # var in its body, the last field
+            end = len(args) - 1 if getattr(node, "var", None) == var else len(args)
+            live = [i for i in range(end) if isinstance(args[i], tuple)
+                    or isinstance(args[i], Node) and var in args[i].fv]
+            todo.append((node, cls, args, live))
+            todo.extend((args[i], None, None, None) for i in live)
+    return steps
+
+
 def _instances(f, top):
-    """The body of bounded quantifier f at x = 0, 1, ..., top, stepping the
-    numeral one successor at a time."""
+    """The body of bounded quantifier f at x = 0, 1, ..., top, each built only
+    when it is asked for, so that a budget refusal inside one instance comes
+    before the next is built.  An instance rebuilds the nodes in which x is
+    free, one constructor call each, by the steps of one plan (_plan); every
+    other node is shared with the body."""
+    if f.var not in f.body.fv:
+        yield from itertools.repeat(f.body, top + 1)
+        return
+    steps = _plan(f.body, f.var)
+    for n in _numerals(top):
+        built = [n]
+        for cls, args, holes in steps:
+            for i, k in holes:
+                args[i] = built[k]
+            built.append(cls(*args))
+        yield built[-1]
+
+
+def _numerals(top):
+    """The numerals 0, 1, ..., top, one successor at a time."""
     n = ZERO_T
-    for _ in range(top + 1):
-        yield subst(f.body, f.var, n)
+    yield n
+    for _ in range(top):
         n = Succ(n)
+        yield n
+
+
+def _charge(left, top):
+    """Take one quantifier's top + 1 instances from left[0], the number of
+    instances still allowed, or refuse once the budget runs out."""
+    if top + 1 > left[0]:
+        raise BudgetExceededError(
+            "more than %d quantifier instances to evaluate" % TRUTH_CAP
+        )
+    left[0] -= top + 1
 
 
 def _require_delta0_sentence(f):
@@ -348,24 +414,29 @@ def _atom_truth(pred, values, structure):
 
 
 def direct_eval(f, structure):
-    """Plain recursive truth over the standard model; the oracle."""
+    """Plain recursive truth over the standard model; the oracle.  It
+    instantiates a bounded quantifier by subst, one numeral at a time, and
+    charges each quantifier it visits its top + 1 instances against
+    TRUTH_CAP before expanding it.  Nothing is memoized, so a sentence that
+    repeats a subsentence can be refused here though tr_eval answers it."""
     _require_delta0_sentence(f)
-    return _direct(f, structure)
+    return _direct(f, structure, [TRUTH_CAP])
 
 
-def _direct(f, structure):
+def _direct(f, structure, left):
     if isinstance(f, Atom):
         return _atom_truth(f.pred, [eval_term(t) for t in f.terms], structure)
     if isinstance(f, NegAtom):
         return not _atom_truth(f.pred, [eval_term(t) for t in f.terms], structure)
     if isinstance(f, AndF):
-        return _direct(f.left, structure) and _direct(f.right, structure)
+        return _direct(f.left, structure, left) and _direct(f.right, structure, left)
     if isinstance(f, OrF):
-        return _direct(f.left, structure) or _direct(f.right, structure)
-    if isinstance(f, BoundedAll):
-        return all(_direct(g, structure) for g in _instances(f, eval_term(f.bound)))
-    if isinstance(f, BoundedEx):
-        return any(_direct(g, structure) for g in _instances(f, eval_term(f.bound)))
+        return _direct(f.left, structure, left) or _direct(f.right, structure, left)
+    if isinstance(f, (BoundedAll, BoundedEx)):
+        top = eval_term(f.bound)
+        _charge(left, top)
+        bits = (_direct(subst(f.body, f.var, n), structure, left) for n in _numerals(top))
+        return all(bits) if isinstance(f, BoundedAll) else any(bits)
     raise NotInFragmentError("unbounded quantifier in a bounded-only context")
 
 
@@ -556,11 +627,7 @@ def _build_sent(f, structure, out, left):
         v = a & b if isinstance(f, AndF) else a | b
     elif isinstance(f, (BoundedAll, BoundedEx)):
         top = _build_term(f.bound, out)
-        if top + 1 > left[0]:
-            raise BudgetExceededError(
-                "more than %d quantifier instances to evaluate" % TRUTH_CAP
-            )
-        left[0] -= top + 1
+        _charge(left, top)
         bits = [_build_sent(g, structure, out, left) for g in _instances(f, top)]
         if isinstance(f, BoundedAll):
             v = 1 if all(b == 1 for b in bits) else 0

@@ -1,11 +1,15 @@
 """Bounded arithmetic truth: terms, evaluations, the thirteen local
 correctness clauses, and the prenex classifier."""
 
+import copy
 import gc
 import importlib.util
+import inspect
+import pickle
 import random
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +108,16 @@ def test_direct_eval_connectives():
     assert not tc.direct_eval(pf("P(0) & 0 = 0"), m)
     assert tc.direct_eval(pf("P(0) | 0 = 0"), m)
     assert tc.direct_eval(pf("all x <= 2 . ex y <= x . y = x"), EMPTY)
+
+
+def test_direct_eval_refuses_a_quantifier_over_the_budget_at_once():
+    f = pf("all x <= exp(exp(5)) . x = x")  # 2^32 instances
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        tc.direct_eval(f, EMPTY)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(BudgetExceededError):
+        tc.tr_eval(f, EMPTY)
 
 
 # ----------------------------------------------------- the thirteen clauses
@@ -410,6 +424,46 @@ def test_intern_table_does_not_grow_across_ops():
     assert len(hashcons._TABLE) == before
 
 
+def test_intern_entry_leaves_with_the_last_reference():
+    # reference counting alone removes the entry: no collector runs
+    key = (tc.Var, "only_in_this_test")
+    gc.disable()
+    try:
+        node = tc.Var("only_in_this_test")
+        assert hashcons._TABLE[key]() is node
+        before = len(hashcons._TABLE)
+        del node
+        assert key not in hashcons._TABLE
+        assert len(hashcons._TABLE) == before - 1
+    finally:
+        gc.enable()
+
+
+def test_stale_callback_keeps_the_newer_entry():
+    key = (tc.Var, "rebuilt_in_this_test")
+    node = tc.Var("rebuilt_in_this_test")
+    old = hashcons._TABLE[key]
+    callback = old.__callback__  # cleared once it has run
+    del node
+    assert old() is None and key not in hashcons._TABLE
+    node = tc.Var("rebuilt_in_this_test")
+    new = hashcons._TABLE[key]
+    assert new is not old and new() is node
+    callback(old)  # the dead node's callback, run again late
+    assert hashcons._TABLE[key] is new and new() is node
+
+
+def test_copies_and_unpickled_nodes_are_interned():
+    f = pf("all x <= 3 . R(x, S(x)) | x = exp(1)")
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    data = pickle.dumps(tc.Var("pickled_in_this_test"))
+    assert (tc.Var, "pickled_in_this_test") not in hashcons._TABLE
+    back = pickle.loads(data)
+    assert back is tc.Var("pickled_in_this_test")
+    assert hashcons._TABLE[(tc.Var, "pickled_in_this_test")]() is back
+
+
 def test_deep_numerals_evaluate():
     big = tc.numeral(5000)
     assert tc.eval_term(big) == 5000
@@ -546,6 +600,60 @@ def _subformulas(f):
     for part in ("left", "right", "body"):
         if hasattr(f, part):
             yield from _subformulas(getattr(f, part))
+
+
+def _by_subst(f, top):
+    return [tc.subst(f.body, f.var, tc.numeral(n)) for n in range(top + 1)]
+
+
+def test_instances_match_subst_on_the_random_corpus():
+    rng = random.Random(1906)
+    quantifiers = 0
+    for _ in range(300):
+        f = rand_delta0(rng, depth=4)
+        for g in _subformulas(f):
+            if isinstance(g, (tc.BoundedAll, tc.BoundedEx)):
+                quantifiers += 1
+                for top in (0, 1, 4, 9):
+                    assert list(tc._instances(g, top)) == _by_subst(g, top)
+    assert quantifiers > 200
+
+
+def test_instances_match_subst_on_open_formulas():
+    # bodies with unbounded quantifiers, shadowing and names free outside
+    rng = random.Random(1907)
+    for _ in range(300):
+        body = rand_open_formula(rng, 4)
+        for name in NAMES:
+            for g in (tc.BoundedAll(name, tc.numeral(2), body),
+                      tc.BoundedEx(name, tc.Var("z"), body)):
+                assert list(tc._instances(g, 3)) == _by_subst(g, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "all x <= 3 . all x <= x . P(x)",  # an inner quantifier shadows x
+    "all x <= 3 . (all x <= x . P(x)) & Q(x)",
+    "all x <= 3 . ex y <= x + 1 . P(y)",  # x only in an inner bound
+    "ex x <= 3 . P(0) | y = 2",  # x not free in the body
+    "all x <= 3 . R(x, S(x)) | neg R(0, x)",  # atoms of arity 2
+    "all x <= 3 . R(x, x) & (R(x, x) | x = x * exp(x))",  # shared subterms
+])
+def test_instances_match_subst_on_edge_cases(text):
+    f = pf(text)
+    for top in (0, 1, 5):
+        assert list(tc._instances(f, top)) == _by_subst(f, top)
+
+
+def test_instances_are_built_one_at_a_time():
+    # a budget refusal inside an instance must come before the next one
+    # is built, so the instances come from a generator, never a list
+    for text in ("all x <= 3 . P(x)", "all x <= 3 . P(0)"):
+        f = pf(text)
+        assert inspect.isgenerator(tc._instances(f, 3))
+        start = time.perf_counter()
+        first = next(tc._instances(f, 10**9))
+        assert time.perf_counter() - start < 1.0
+        assert first is tc.subst(f.body, f.var, tc.ZERO_T)
 
 
 # --------------------------------------- tokenizer-based reference parser
