@@ -19,7 +19,8 @@ The distinct indices of both formulas are ranked 1..k in ordinal order
 rank of the diamond that seeded it.  The closed relation is a function of
 that tree alone (_holds proves the closed form), so it is never built: the
 right formula is model-checked at the root by two passes over the tree per
-diamond, one bottom-up and one top-down, on node sets held as ints.
+diamond, one bottom-up and one top-down, over per-node flags; between
+diamonds a node set is an int, so a conjunction is one `&`.
 
 proof_search reads a certificate over the primitive rules off the same tree,
 which gives the rule behind each edge of the closure (_Extractor); it
@@ -124,25 +125,23 @@ def worm_formula(w):
     return f
 
 
-def _children(f):
-    return (f.body,) if isinstance(f, Diam) else f.conjuncts if isinstance(f, And) else ()
-
-
 def _postorder(f):
-    """Each distinct subformula of f once, after its parts (explicit stack)."""
-    seen, todo = set(), [f]
+    """Each distinct subformula of f once, after its parts, as a list (explicit
+    stack; a 1-tuple on the stack marks where its node is finished)."""
+    seen, out, todo = set(), [], [f]
     while todo:
-        g = todo[-1]
-        if g in seen:
-            todo.pop()
-            continue
-        fresh = [c for c in _children(g) if c not in seen]
-        if fresh:
-            todo += fresh
-            continue
-        todo.pop()
-        seen.add(g)
-        yield g
+        g = todo.pop()
+        cls = g.__class__
+        if cls is tuple:
+            out.append(g[0])
+        elif g not in seen:
+            seen.add(g)
+            todo.append((g,))
+            if cls is Diam:
+                todo.append(g.body)
+            elif cls is And:
+                todo += g.conjuncts
+    return out
 
 
 def normalize(f):
@@ -338,37 +337,52 @@ def _holds(model, f):
     the answer at a parent down each (r+1)-high edge.  In ranks, the entry
     of R on (y, z) is max(T_y[z], min(seed[y] - 1, R[parent y, z])), T_y[z]
     the least seed rank on the path from y down to z (edges).
+
+    The passes run over flags: bin(B | 1 << n) has one ASCII digit per node,
+    node x at index ~x.  Marking or-s 2 into a digit, so one bytearray holds
+    B and the marks, and _MARKS reads the marks back as digits for int().
     """
     parent, seed, rank, labels = model.parent, model.seed, model.rank, model.labels
     n = len(labels)
-    high = {}  # r -> the (child, parent) pairs of r-high edges, deepest first
+    top = 1 << n
+    high = {}  # r -> the (child, parent) flag indices of r-high edges, deepest first
     memo = {}
     for g in _postorder(f):
-        if isinstance(g, _Top):
-            hit = (1 << n) - 1
-        elif isinstance(g, Var):
-            hit = sum(1 << x for x, ls in enumerate(labels) if g.name in ls)
-        elif isinstance(g, And):
+        cls = g.__class__
+        if cls is Diam:
+            r = rank.get(g.index)
+            if r is None:
+                return None
+            hit, up = memo[g.body], high.get(r)
+            if up is None:
+                up = high[r] = [(~c, ~parent[c]) for c in range(n - 1, 0, -1) if seed[c] >= r]
+            if hit and up:
+                down = high.get(r + 1)
+                if down is None:
+                    down = high[r + 1] = [(~c, ~parent[c]) for c in range(n - 1, 0, -1) if seed[c] > r]
+                flags = bytearray(bin(hit | top).encode())
+                for c, p in up:  # bottom-up: c in B or marked, its digit not "0"
+                    if flags[c] != 48:
+                        flags[p] |= 2
+                for c, p in reversed(down):  # top-down: p marked, "2" or "3"
+                    if flags[p] > 49:
+                        flags[c] |= 2
+                hit = int(flags.translate(_MARKS), 0)
+            else:
+                hit = 0
+        elif cls is And:
             hit = memo[g.conjuncts[0]]
             for c in g.conjuncts[1:]:
                 hit &= memo[c]
-        elif g.index not in rank:
-            return None
+        elif cls is Var:
+            hit = sum(1 << x for x, ls in enumerate(labels) if g.name in ls)
         else:
-            r, reach, hit = rank[g.index], memo[g.body], 0
-            if reach:
-                for s in (r, r + 1):
-                    if s not in high:
-                        high[s] = [(c, parent[c]) for c in range(n - 1, 0, -1) if seed[c] >= s]
-                for c, p in high[r]:  # bottom-up
-                    if reach >> c & 1:
-                        hit |= 1 << p
-                        reach |= 1 << p
-            for c, p in reversed(high[r + 1]) if hit else ():  # top-down
-                if hit >> p & 1:
-                    hit |= 1 << c
+            hit = top - 1
         memo[g] = hit
     return memo
+
+
+_MARKS = bytes.maketrans(b"123", b"011")  # marked "2", "3" -> "1"; "0b1..." -> "0b0..."
 
 
 def derives(f, g):

@@ -61,12 +61,20 @@ _KEYWORDS = {"w", "phi", "eps", "eps0", "T"}
 # ordinal sum, a worm literal and a numeral open none.
 MAX_NESTING = 200
 
-# Index text (what stands between a diamond's "<" and the next ">") -> its
-# ordinal.  Notations are immutable and hash-consed, so an entry is the very
-# object a fresh parse builds; only an index parse that ended at that ">" is
-# stored, so every error still comes from a fresh parse.  Cleared when full.
+# Index text (between a diamond's "<" and its ">", or a worm letter's up to
+# the next "," or "]") -> (its ordinal, the levels its text opens).  Notations
+# are hash-consed, so an entry is the very object a fresh parse builds.  Only
+# a parse that stopped at that delimiter is stored, and a hit past MAX_NESTING
+# is refused, so every error is a fresh parse's.  Cleared when full.
 _INDEX = {}
 _INDEX_CAP = 4096
+_LETTER_END = re.compile(r"[,\]]")
+
+_TOKENS = r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^(),\[\]<>&]"
+
+# After blanks: a diamond, group 1 its index text (no "<" or ">"), or as group
+# 2 a worm literal (no "[", "]", "<" or ">" inside) or one of _TOKENS.
+_FORMULA_TOKEN = re.compile(r"\s*(?:<([^<>]*)>|(\[[^\[\]<>]*\]|%s))" % _TOKENS)
 
 
 def _normalize_input(text):
@@ -84,7 +92,8 @@ class Scanner:
     after blanks, and STRAY, which matches a character no token can hold.
     The first stray character is refused before any parsing, as a
     whole-text tokenizer would, whatever error comes before it.  depth
-    counts the levels of nesting open at the lookahead (MAX_NESTING).
+    counts the levels of nesting open at the lookahead (MAX_NESTING), and
+    peak is the deepest level opened since a caller last reset it.
     """
 
     def __init__(self, text):
@@ -92,7 +101,7 @@ class Scanner:
         stray = self.STRAY.search(text)
         if stray is not None:
             raise ParseError("unexpected character %r" % stray.group(), stray.start())
-        self.depth = 0
+        self.depth = self.peak = 0
         self.scan(0)
 
     def scan(self, pos):
@@ -144,6 +153,7 @@ class Scanner:
         """Consume tok and open one level of nesting."""
         self.expect(tok)
         self.depth += 1
+        self.peak = max(self.peak, self.depth)
         self.fit()
 
     def close(self, tok=None):
@@ -164,7 +174,7 @@ class Scanner:
 class _Parser(Scanner):
     """Ordinals, worms and formulas; aliases are normalized first."""
 
-    TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^(),\[\]<>&])")
+    TOKEN = re.compile(r"\s*(%s)" % _TOKENS)
     STRAY = re.compile(r"[^\s\dA-Za-z_\-+*^(),\[\]<>&]")
 
     def __init__(self, text):
@@ -175,6 +185,22 @@ class _Parser(Scanner):
         n = self.literal(MAX_SUMMANDS)
         check_summands(MAX_SUMMANDS + 1 if n is None else n)
         return n
+
+    def cached(self, key, stop):
+        """The ordinal at the lookahead, through _INDEX by key, its text up to
+        its delimiter at position stop (key None: it has none)."""
+        hit = _INDEX.get(key)
+        if hit is not None:
+            self.fit(hit[1])
+            self.scan(stop)
+            return hit[0]
+        self.peak = depth = self.depth
+        a = self.ordinal()
+        if key is not None and self.at == stop:
+            if len(_INDEX) >= _INDEX_CAP:
+                _INDEX.clear()
+            _INDEX[key] = a, self.peak - depth
+        return a
 
     # ---- ordinals
 
@@ -252,11 +278,18 @@ class _Parser(Scanner):
 
     def ordinals(self, end):
         """Ordinals separated by commas, up to the token end (not consumed)."""
-        out = [] if self.peek() == end else [self.ordinal()]
+        out = [] if self.peek() == end else [self.letter()]
         while out and self.peek() == ",":
             self.next()
-            out.append(self.ordinal())
+            out.append(self.letter())
         return out
+
+    def letter(self):
+        """A worm letter, through _INDEX by its text up to the next "," or "]"."""
+        stop = _LETTER_END.search(self.text, self.at)
+        if stop is None:
+            return self.cached(None, None)
+        return self.cached(self.text[self.at:stop.start()], stop.start())
 
     def worm(self):
         self.expect("[")
@@ -267,54 +300,66 @@ class _Parser(Scanner):
     # ---- formulas
 
     def formula(self):
-        parts = [self.formula_unary()]
-        while self.peek() == "&":
-            self.next()
-            parts.append(self.formula_unary())
-        return conj(parts)  # "&" flattens but keeps duplicates
-
-    def formula_unary(self):
-        indices = []  # a run of diamonds, built inside out without recursing
-        while self.peek() == "<":
-            indices.append(self.diamond_index())
-        f = self.formula_atom()
-        for index in reversed(indices):
-            f = Diam(index, f)
-        return f
-
-    def diamond_index(self):
-        """The ordinal of "<a>", through _INDEX; the lookahead moves past ">"."""
-        close = self.text.find(">", self.end)
-        key = self.text[self.end:close] if close >= 0 else None
-        index = _INDEX.get(key)
-        if index is not None:
-            self.scan(close + 1)
-            return index
-        self.next()
-        index = self.ordinal()
-        if self.peek() == ">":  # the one at close: an ordinal holds no ">"
-            if len(_INDEX) >= _INDEX_CAP:
-                _INDEX.clear()
-            _INDEX[key] = index
-        self.expect(">")
-        return index
-
-    def formula_atom(self):
-        tok = self.peek()
-        if tok == "(":
-            self.open("(")
-            f = self.formula()
-            self.close(")")
-            return f
-        if tok == "[":
-            return worm_formula(self.worm())
-        if tok == "T":
-            self.next()
-            return TOP
-        if tok is not None and tok.isidentifier() and tok not in _KEYWORDS:
-            self.next()
-            return Var(tok)
-        raise ParseError("expected a formula", self.pos())
+        """Operands (diamonds before T, a variable, a worm literal or "("
+        formula ")") joined by "&", which flattens but keeps duplicates, in
+        one pass of _FORMULA_TOKEN with a stack of open parentheses.  The
+        scanner reads an index not in _INDEX, a worm literal and the token
+        that ends the formula, so every refusal is the scanner's; a valid
+        index or worm ends at its lexeme's ">" or "]" (a "<" or "[" that
+        starts no lexeme starts none), so the pass goes on in step."""
+        levels = []          # per open "(": the conjuncts and diamonds before it
+        parts, run = [], []  # the innermost level's conjuncts; diamonds awaiting a body
+        operand, end = True, len(self.text)  # operand: an operand is due, else "&" or ")"
+        for m in _FORMULA_TOKEN.finditer(self.text, self.at):
+            key, tok = m.groups()
+            if not operand:
+                if tok == "&":
+                    operand = True
+                    continue
+                if tok != ")" or not levels:
+                    end = m.start()
+                    break
+                self.depth -= 1
+                f = conj(parts)
+                parts, run = levels.pop()
+            elif tok is None or tok == "<":  # a diamond
+                hit = _INDEX.get(key)
+                if hit is not None and self.depth + hit[1] <= MAX_NESTING:
+                    run.append(hit[0])
+                else:
+                    self.scan(m.start())
+                    self.next()
+                    run.append(self.cached(key, m.end(1)))
+                    self.expect(">")
+                continue
+            elif tok == "(":
+                self.depth += 1
+                self.fit()
+                levels.append((parts, run))
+                parts, run = [], []
+                continue
+            elif tok == "T":
+                f = TOP
+            elif tok.isidentifier() and tok not in _KEYWORDS:
+                f = Var(tok)
+            elif tok[0] == "[":
+                self.scan(m.start())
+                f = worm_formula(self.worm())
+            else:
+                end = m.start()
+                break
+            if run:
+                for index in reversed(run):
+                    f = Diam(index, f)
+                run.clear()
+            parts.append(f)
+            operand = False
+        self.scan(end)
+        if operand:
+            raise ParseError("expected a formula", self.at)
+        if levels:
+            self.expect(")")
+        return conj(parts)
 
 
 def parse_ordinal(text):

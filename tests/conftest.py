@@ -8,6 +8,7 @@ import random
 import sys
 from pathlib import Path
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from rcworm.ordinal import (
@@ -27,6 +28,11 @@ from rcworm import truthcore as tc
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's formula generator)
 
+
+# Selected with --hypothesis-profile=ci: a failing property prints the blob
+# that replays it (@reproduce_failure); deadlines and example counts stay the
+# defaults.
+settings.register_profile("ci", print_blob=True)
 
 # Python's default recursion limit, what a command-line process gets.
 DEFAULT_RECURSION_LIMIT = 1000

@@ -1,5 +1,6 @@
 """Parsing and rendering for ordinals, sequences and modal formulas."""
 
+import itertools
 import random
 import re
 from pathlib import Path
@@ -7,9 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from conftest import SMALL_ORDINALS, ordinals, rand_formula, rand_ordinal, rand_worm, rc_formulas, worms
+from conftest import (
+    SMALL_ORDINALS, large_pairs, ordinals, rand_formula, rand_ordinal, rand_worm, rc_formulas, worms,
+)
 from rcworm import rc, syntax
-from rcworm.errors import DomainError, OrdinalOverflowError
+from rcworm.errors import BudgetExceededError, DomainError, OrdinalOverflowError
 from rcworm.ordinal import (
     EPS0,
     MAX_SUMMANDS,
@@ -163,6 +166,78 @@ def test_index_cache_stays_within_its_cap(monkeypatch):
     for k in range(cap + 100):  # cap + 100 distinct texts, each reading 1
         assert parse_formula("<%s1>p" % (" " * k)).index is ONE
         assert 0 < len(syntax._INDEX) <= cap
+
+
+def test_worm_letters_go_through_the_index_cache(monkeypatch):
+    # a letter ended by "," or "]" is cached by its text from its first token
+    # to that delimiter; a letter with a comma inside never ends at its first
+    # comma, so it is never stored
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    text = "[w+1, 2, phi(1,w), eps0 ,w+1]"
+    cold = parse_worm(text)
+    assert sorted(syntax._INDEX) == ["2", "eps0 ", "w+1"]
+    calls = []
+    real = syntax._Parser.ordinal
+
+    def counting(self):
+        calls.append(self.pos())
+        return real(self)
+
+    monkeypatch.setattr(syntax._Parser, "ordinal", counting)
+    warm = parse_worm(text)
+    at = text.index("phi")
+    assert calls == [at, at + 4, at + 6]  # phi(1,w) and its two arguments
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    fresh = parse_worm(text)
+    assert len(warm.letters) == 5
+    assert all(a is b is c for a, b, c in zip(cold.letters, warm.letters, fresh.letters))
+    # the diamond indices share the cache: "<w+1>" after "[w+1]" parses nothing
+    parse_worm("[w+1]")
+    calls.clear()
+    d = rc.Diam(warm.letters[0], rc.TOP)
+    assert parse_formula("<w+1>T & [w+1]") == rc.conj((d, d))
+    assert calls == []
+
+
+def test_malformed_letter_leaves_no_entry(monkeypatch):
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    for text in ("[w+]", "[1 2]", "[1", "[phi(1,]", "[w*99999999]", "[<1>]", "[]]"):
+        with pytest.raises((ParseError, DomainError)):
+            parse_worm(text)
+        assert syntax._INDEX == {}, text
+    with pytest.raises(ParseError):
+        parse_worm("[1, w+, 2]")  # the letter before it is well formed and stays
+    assert sorted(syntax._INDEX) == ["1"]
+
+
+def test_letter_errors_match_on_a_cold_and_a_warm_cache(monkeypatch):
+    spots = {
+        "[w+]": ("expected an ordinal term", 3),
+        "[1 2]": ("expected ']'", 3),
+        "[w+1,]": ("expected an ordinal term", 5),
+        "[1,,2]": ("expected an ordinal term", 3),
+        "[1]]": ("trailing input ']'", 3),
+        "[w^2 ,1": ("expected ']'", 7),
+    }
+    deep = "(" * syntax.MAX_NESTING + "%s" + ")" * syntax.MAX_NESTING
+    for inner in ("[w^2]", "<w^2>T", "[1,w^2]"):
+        spots[deep % inner] = None  # refused: "w^" opens one level past the bound
+    monkeypatch.setattr(syntax, "_INDEX", {})
+    for warm in (False, True):
+        if warm:
+            parse_formula("[w+1, 1, 2, w^2] & <w+1><w^2>T")
+            assert {"1", "2", "w+1", "w^2"} <= set(syntax._INDEX)
+        for text, want in spots.items():
+            if want is None:
+                with pytest.raises(BudgetExceededError, match="than %d levels" % syntax.MAX_NESTING):
+                    parse_formula(text)
+                continue
+            with pytest.raises(ParseError) as e:
+                parse_worm(text)
+            assert (e.value.position, str(e.value)) == (want[1], "%s (at position %d)" % want), text
+    # one level less fits, with the cache warm
+    n = syntax.MAX_NESTING - 1
+    assert parse_formula("(" * n + "[w^2]" + ")" * n) == rc.Diam(omega_power(from_int(2)), rc.TOP)
 
 
 def test_render_spot_values():
@@ -330,12 +405,22 @@ def _ref_tokenize(text):
 
 class _RefParser:
     """The parser as it was before the one-token scanner: the whole text is
-    tokenized up front, and every diamond index is parsed afresh."""
+    tokenized up front, the grammar is one recursive rule per construct, and
+    every diamond index and worm letter is parsed afresh.  It counts levels
+    of nesting as the text is read, as MAX_NESTING states them: a "(" in a
+    formula opens one, and so do "w^", "phi(" and "eps(" in an ordinal."""
 
     def __init__(self, text):
         self.text = syntax._normalize_input(text)
         self.tokens = _ref_tokenize(self.text)
         self.i = 0
+        self.depth = 0
+
+    def open(self):
+        self.depth += 1
+        if self.depth > syntax.MAX_NESTING:
+            raise BudgetExceededError(
+                "text nested more than %d levels deep (MAX_NESTING)" % syntax.MAX_NESTING)
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -387,15 +472,20 @@ class _RefParser:
             self.next()
             if self.peek() == "^":
                 self.next()
-                return omega_power(self.ord_atom())
+                self.open()
+                a = self.ord_atom()
+                self.depth -= 1
+                return omega_power(a)
             return omega_power(ONE)
         if tok == "phi":
             self.next()
             self.expect("(")
+            self.open()
             a = self.ordinal()
             self.expect(",")
             b = self.ordinal()
             self.expect(")")
+            self.depth -= 1
             return phi(a, b)
         if tok == "eps0":
             self.next()
@@ -403,8 +493,10 @@ class _RefParser:
         if tok == "eps":
             self.next()
             self.expect("(")
+            self.open()
             a = self.ordinal()
             self.expect(")")
+            self.depth -= 1
             return phi(ONE, a)
         raise ParseError("expected an ordinal term", self.pos())
 
@@ -465,8 +557,10 @@ class _RefParser:
             return rc.Diam(index, self.formula_unary())
         if tok == "(":
             self.next()
+            self.open()
             f = self.formula()
             self.expect(")")
+            self.depth -= 1
             return f
         if tok == "[":
             return rc.worm_formula(self.worm())
@@ -573,6 +667,25 @@ def _mutations(rng, text, count):
     return out
 
 
+def _nesting_texts():
+    """Formula texts at MAX_NESTING levels and one past them: parentheses
+    alone, and with a diamond index or a worm letter whose "w^" opens the
+    last level."""
+    n = syntax.MAX_NESTING
+    texts = []
+    for depth, inner in ((n, "p"), (n + 1, "p"), (n - 1, "<w^2>p"), (n, "<w^2>p"),
+                         (n - 1, "[1, w^2]"), (n, "[1, w^2]"), (n, "<1>(q) & r")):
+        texts.append("(" * depth + inner + ")" * depth)
+        texts.append("<w>" + "(p & " * depth + inner + ")" * depth)
+    return texts
+
+
+_WORM_TEXTS = [
+    "[phi(1,w), ω+1 , ε₀,φ(1, 0)]", "[ phi( 2 , w^w ) ,eps(ε0)]", "[φ(0,1),phi(0,1)]",
+    "[w, ω, w , 1,1]", "[eps(1) + 4, w^(w+1),]", "[ε₀ ,, 1]",
+]
+
+
 def test_parse_matches_the_tokenizer_reference(monkeypatch):
     monkeypatch.setattr(syntax, "_INDEX", {})
     rng = random.Random(5113)
@@ -582,8 +695,13 @@ def test_parse_matches_the_tokenizer_reference(monkeypatch):
     indices = SMALL_ORDINALS[:6] + [rand_ordinal(rng, 2) for _ in range(4)]
     for _ in range(200):
         corpus.append(("formula", render(rand_formula(rng, rng.randrange(1, 30), indices))))
+    for lhs, rhs, _ in itertools.islice(large_pairs(5114), 3):
+        corpus += [("formula", lhs), ("formula", rhs)]
+    corpus += [("formula", text) for text in _nesting_texts()]
+    corpus += [(kind, text) for text in _WORM_TEXTS for kind in ("worm", "formula")]
     answers = [_assert_same_parse(kind, text) for kind, text in corpus]
     assert sum(a[0] == "ok" and isinstance(a[1], rc.RcFormula) for a in answers) > 600
+    assert sum(a[0] == "BudgetExceededError" for a in answers) == 8  # of _nesting_texts()
     refusals = set()
     for kind, text in corpus:
         for mutant in _mutations(rng, text, 3):
