@@ -1,12 +1,14 @@
 """One hash-consing table for the syntax trees of truth terms, truth formulas
-and RC formulas.
+and RC formulas, and for ordinal notations and their Veblen terms.
 
 Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
 ML Workshop 2006): building a node whose class and fields equal a live node's
 returns that node.  Equal structure is therefore the same object, so equality
 and hashing are object identity: constant time and free of recursion however
-deep a node is.  Nodes must never be mutated, and the table takes no lock:
-build nodes from one thread at a time.
+deep a node is.  A node's fields never change.  Its caches (an ordinal's
+`_code`, and a term's order `label`, which ordinal._relabel rewrites) may be
+written after it is built, but never change its identity.  The table takes no
+lock: build nodes from one thread at a time.
 
 The table is a plain dict from the key (class, *fields) to a weak reference
 to the node that carries the same key.  A lookup is one dict.get and one call
@@ -36,8 +38,9 @@ def _drop(ref):
 
 class Node:
     """A hash-consed node.  A concrete class lists its fields, and only its
-    fields, in __slots__; its _fill() sets whatever the node caches (free
-    variables, a sort key), once, when the node is built."""
+    fields, in __slots__; its caches (free variables, a sort key, a code) sit
+    in a base class's slots, and its _fill() sets them when the node is
+    built."""
 
     __slots__ = ("__weakref__",)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cmp_to_key
 import gc
-from math import isqrt
+from math import inf, isqrt
 from operator import attrgetter
 import weakref
 
@@ -35,6 +35,7 @@ from .errors import (
     OrdinalOverflowError,
     UndefinedError,
 )
+from .hashcons import Node
 
 MAX_SUMMANDS = 10**6
 """Most equal summands a natural or an `a*n` repetition may spell out, and
@@ -46,11 +47,10 @@ sits far above every literal the tests and fixtures use (the largest is
 1000)."""
 
 
-# Terms and notations are hash-consed as hashcons.Node's are: building a
-# node whose fields equal a live node's returns that node.  Every notation has
-# one normal form, so equal notations are the same object, and equality and
-# hashing are object identity.  The tables hold their nodes weakly, and take
-# no lock.  A node never changes what it denotes; it mutates only its caches:
+# Terms and notations are hashcons.Node's: building a node whose fields equal
+# a live node's returns that node.  Every notation has one normal form, so
+# equal notations are the same object, and equality and hashing are object
+# identity.  A node never changes what it denotes; it writes only its caches:
 # the Godel code, once computed, and a term's order label, which a relabel
 # rewrites.
 #
@@ -58,16 +58,14 @@ sits far above every literal the tests and fixtures use (the largest is
 # list", STOC 1987): every live term in normal form carries an integer label,
 # and labels increase with the terms' values.  _LABELLED holds weak references
 # to the labelled terms, sorted by label.  A new term is binary-searched in
-# with the structural _cmp_term, takes the midpoint of its neighbours' labels,
-# and the whole list is relabelled evenly only when no gap is left.  A dead
-# term is dropped by bisecting on the label its weak reference carries.  A
-# term whose index or argument is not a normal form, or whose argument is a
-# fixed point of phi_index, gets no label and is compared structurally, so two
-# labelled terms never tie, and compare decides two normal summands by one
-# label comparison.
+# with _cmp_term, takes the midpoint of its neighbours' labels, and the whole
+# list is relabelled evenly only when no gap is left.  A dead term is dropped
+# by bisecting on the label its weak reference carries.  A term whose index
+# or argument is not a normal form, or whose argument is a fixed point of
+# phi_index, gets no label and is compared structurally, so two labelled
+# terms never tie, and compare decides two normal summands by one label
+# comparison.
 
-_TERMS = weakref.WeakValueDictionary()  # (index, argument) -> VeblenTerm
-_ORDINALS = weakref.WeakValueDictionary()  # term tuple -> Ordinal
 _BY_CODE = weakref.WeakValueDictionary()  # Godel code -> normal-form Ordinal
 _LABELLED = []  # _LabelRef to each labelled term, by increasing label
 _LABEL_GAP = 1 << 48  # label spacing after a relabel, and past either end
@@ -88,17 +86,23 @@ def _unlabel(ref):
 
 
 def _label(term):
-    """Give a new normal-form term its label and splice it into _LABELLED."""
+    """Give a new normal-form term its label and splice it into _LABELLED.
+    Entries before the search window [lo, hi) are below term and those from
+    hi on above it, so a probe's descent stops at a labelled term whose label
+    is not strictly between low and high, the labels of _LABELLED[lo - 1] and
+    _LABELLED[hi]."""
     enabled = gc.isenabled()
     gc.disable()  # a collection would run _unlabel and shift the list mid-search
     try:
         lo, hi = 0, len(_LABELLED)
+        low, high = -inf, inf
         while lo < hi:
             mid = (lo + hi) // 2
-            if _cmp_term(term, _LABELLED[mid]()) < 0:
-                hi = mid
+            probe = _LABELLED[mid]
+            if _cmp_term(term, probe(), low, high) < 0:
+                hi, high = mid, probe.label
             else:
-                lo = mid + 1
+                lo, low = mid + 1, probe.label
         label = _free_label(lo)
         if label is None:
             _relabel()
@@ -130,53 +134,40 @@ def _relabel():
         ref.label = ref().label = i * _LABEL_GAP
 
 
-class VeblenTerm:
+class _TermCaches(Node):
+    __slots__ = ("_code", "label")
+
+
+class VeblenTerm(_TermCaches):
     """One summand phi(index, argument); `_code` caches its pair code, and
     `label` is its order label, or None when the term is no normal form."""
 
-    __slots__ = ("index", "argument", "_code", "label", "__weakref__")
+    __slots__ = ("index", "argument")
 
-    def __new__(cls, index, argument):
-        key = (index, argument)
-        node = _TERMS.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            node.index = index
-            node.argument = argument
-            node._code = None
-            node.label = None
-            _TERMS[key] = node
-            if index._normal and argument._normal and not _fixed_point(index, argument):
-                _label(node)
-        return node
-
-    def __reduce__(self):
-        return VeblenTerm, (self.index, self.argument)
-
-    def __repr__(self):
-        return "VeblenTerm(%r, %r)" % (self.index, self.argument)
+    def _fill(self):
+        self._code = self.label = None
+        index, argument = self.index, self.argument
+        if index._normal and argument._normal and not _fixed_point(index, argument):
+            _label(self)
 
 
-class Ordinal:
+class _OrdinalCaches(Node):
+    __slots__ = ("_code", "_normal")
+
+
+class Ordinal(_OrdinalCaches):
     """A notation: tuple of VeblenTerm summands, largest first.  () is 0.
     `_code` caches its Godel code once computed; `_normal` says whether the
     notation is a normal form."""
 
-    __slots__ = ("terms", "_code", "_normal", "__weakref__")
+    __slots__ = ("terms",)
 
     def __new__(cls, terms=()):
-        terms = tuple(terms)
-        node = _ORDINALS.get(terms)
-        if node is None:
-            node = object.__new__(cls)
-            node.terms = terms
-            node._code = None
-            node._normal = _non_increasing(terms)
-            _ORDINALS[terms] = node
-        return node
+        return Node.__new__(cls, tuple(terms))
 
-    def __reduce__(self):
-        return Ordinal, (self.terms,)
+    def _fill(self):
+        self._code = None
+        self._normal = _non_increasing(self.terms)
 
     def is_zero(self):
         return not self.terms
@@ -224,40 +215,46 @@ def _fixed_point(a, b):
     return len(b.terms) == 1 and compare(b.terms[0].index, a) > 0
 
 
-def _cmp_term(s, t):
-    # Values of single terms phi(a1,b1) vs phi(a2,b2): compare indexes, then
-    # the argument on the smaller-index side against the whole other term.
-    c = compare(s.index, t.index)
-    if c == 0:
-        return compare(s.argument, t.argument)
-    if c < 0:
-        return _cmp_with_term(s.argument, t)
-    return -_cmp_with_term(t.argument, s)
+def _cmp_term(s, t, low=-inf, high=inf):
+    """The order of the values of terms s and t: -1, 0 or 1, in one loop.
 
-
-def _cmp_summand(s, t):
-    """_cmp_term, by one label comparison when both terms are labelled."""
-    if s is t:
-        return 0
-    if s.label is None or t.label is None:
-        return _cmp_term(s, t)
-    return -1 if s.label < t.label else 1
-
-
-def _cmp_with_term(a, t):
-    """compare(a, Ordinal((t,))) without building the one-term notation."""
-    if not a.terms:
-        return -1
-    c = _cmp_summand(a.terms[0], t)
-    if c != 0 or len(a.terms) == 1:
-        return c
-    return 1
+    Two labelled terms compare by label.  Else, for s = phi(a1, b1) and
+    t = phi(a2, b2), a1 = a2 leaves b1 against b2, and a1 < a2 leaves b1
+    against t: s < t when b1 = 0, else b1's head against t, where a tie means
+    s > t when b1 has more summands and s = t when not.  a1 > a2 is that
+    swapped.  The loop carries the sign of the swaps and the answer to give
+    if the heads below tie.  Only _label passes low and high: its new term is
+    the one unlabelled term met, above any labelled term at or below low and
+    below any at or above high."""
+    sign, tie = 1, 0
+    while s is not t:
+        x, y = s.label, t.label
+        if x is not None:
+            if y is not None:
+                return sign if x > y else -sign
+            if not low < x < high:
+                return sign if x >= high else -sign
+        elif y is not None and not low < y < high:
+            return -sign if y >= high else sign
+        c = compare(s.index, t.index)
+        if c == 0:
+            c = compare(s.argument, t.argument)
+            return sign * c if c else tie
+        if c > 0:
+            s, t, sign = t, s, -sign
+        b = s.argument.terms
+        if not b:
+            return -sign
+        if len(b) > 1:
+            tie = sign
+        s = b[0]
+    return tie
 
 
 def compare(a, b):
     """Trichotomous order on notations: -1, 0 or 1.  The first pair of
     summands that are not one object decides, by their labels when both
-    have one (_cmp_summand, inlined on this hot path)."""
+    have one (_cmp_term's first test, inlined on this hot path)."""
     if a is b:
         return 0
     for s, t in zip(a.terms, b.terms):
@@ -317,7 +314,7 @@ def add_all(parts):
         if b.terms:
             head = b.terms[0]
             i = len(terms)
-            while i > 0 and _cmp_summand(terms[i - 1], head) < 0:
+            while i > 0 and _cmp_term(terms[i - 1], head) < 0:
                 i -= 1
             del terms[i:]
             terms += b.terms
@@ -329,7 +326,7 @@ def left_subtract(a, b):
     for i, s in enumerate(a.terms):
         if i >= len(b.terms):
             raise UndefinedError("left difference undefined: minuend is smaller")
-        c = _cmp_summand(s, b.terms[i])
+        c = _cmp_term(s, b.terms[i])
         if c < 0:
             return Ordinal(b.terms[i:])
         if c > 0:

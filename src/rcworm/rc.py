@@ -513,11 +513,10 @@ def _valid(d):
 CERTIFICATE_CHARS = 10 ** 6
 
 
-def proof_search(f, g, max_depth=24):
+def proof_search(f, g):
     """A certificate of normalize(f) |- normalize(g), read off the tree
     model that decides the sequent (_Extractor), or None exactly when f does
-    not derive g.  max_depth bounds nothing; it is kept for callers that
-    pass it.  Raises BudgetExceededError past CERTIFICATE_CHARS // 20
+    not derive g.  Raises BudgetExceededError past CERTIFICATE_CHARS // 20
     derivation nodes."""
     return _Extractor(normalize(f), normalize(g)).certificate()
 

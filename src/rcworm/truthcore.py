@@ -473,20 +473,6 @@ class FailedClause:
         return "FailedClause(%d, %r)" % (self.clause, self.witness)
 
 
-def merge_evaluations(a, b):
-    """Union of two assignments; they must agree where they overlap."""
-    for t, v in b.term_map.items():
-        if t in a.term_map and a.term_map[t] != v:
-            raise ValueError("merge conflict at term %r" % (t,))
-    for f, v in b.sent_map.items():
-        if f in a.sent_map and a.sent_map[f] != v:
-            raise ValueError("merge conflict at sentence %r" % (f,))
-    out = a.copy()
-    out.term_map.update(b.term_map)
-    out.sent_map.update(b.sent_map)
-    return out
-
-
 def is_evaluation(s, structure):
     """True, or the first failing clause of the thirteen, with a witness.
 

@@ -61,9 +61,11 @@ class Worm:
 
 EMPTY = Worm()
 
-# An order type nests about one Veblen level per distinct letter, and ordinal
-# comparison walks that nesting recursively; worms with more distinct letters
-# than this are refused before any ordinal arithmetic.
+# An order type nests about one Veblen level per distinct letter.  Ordinal
+# comparison follows that nesting in a loop, so the cap bounds time and output,
+# not the stack: near it most of the time is _fold's paper_phi chain, and past
+# it an order type prints deeper than syntax.MAX_NESTING.  Worms with more
+# distinct letters than this are refused before any ordinal arithmetic.
 MAX_DISTINCT_LETTERS = 300
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ordinals, rand_ordinal
-from rcworm import ordinal, rc
+from rcworm import hashcons, ordinal, rc
 from rcworm import truthcore as tc
 from rcworm.errors import (
     BudgetExceededError,
@@ -261,6 +261,17 @@ def test_decode_refuses_permuted_summands_as_reference_does():
     assert 0 < refused < 1000
 
 
+def test_decoding_beside_a_deep_tower_matches_reference():
+    # every level of a live 199-level tower is labelled, so each new term is
+    # searched in among them
+    tower = parse_formula("<%s>T" % ("w^(" * 199 + "w" + ")" * 199))
+    for n in range(5000):
+        want = reference_decode(n)
+        assert decoded(n) is want, n
+    check_labels()
+    del tower
+
+
 def test_decoding_onto_a_live_tail_builds_one_notation():
     # eps0*3 + w + 3 over the live tail w + 3: the two partial sums
     # eps0 + w + 3 and eps0*2 + w + 3 are never built
@@ -269,10 +280,10 @@ def test_decoding_onto_a_live_tail_builds_one_notation():
     head = EPS0.terms[0]
     n = raw_code((head,) * 3 + tail.terms)
     gc.collect()
-    before = len(ordinal._ORDINALS), len(ordinal._BY_CODE)
+    terms, notations, codes, _ = table_sizes()
     a = godel_decode(n)
     assert a.terms == (head,) * 3 + tail.terms
-    assert (len(ordinal._ORDINALS), len(ordinal._BY_CODE)) == (before[0] + 1, before[1] + 1)
+    assert table_sizes()[:3] == (terms, notations + 1, codes + 1)
 
 
 def test_coding_a_non_normal_notation_does_not_index_it():
@@ -285,7 +296,15 @@ def test_coding_a_non_normal_notation_does_not_index_it():
 
 
 def table_sizes():
-    return (len(ordinal._TERMS), len(ordinal._ORDINALS), len(ordinal._BY_CODE),
+    """Interned terms, interned notations, indexed codes, labelled terms."""
+    enabled = gc.isenabled()
+    gc.disable()  # a collection runs weakref callbacks, which delete entries
+    try:
+        classes = [key[0] for key in list(hashcons._TABLE)]
+    finally:
+        if enabled:
+            gc.enable()
+    return (classes.count(VeblenTerm), classes.count(Ordinal), len(ordinal._BY_CODE),
             len(ordinal._LABELLED))
 
 
@@ -410,6 +429,15 @@ def test_compare_matches_reference():
         # head summands tie when a is a single epsilon-or-higher term
         pairs += [(a, b), (a, a), (a, rebuilt(a)), (add(a, b), a),
                   (omega_power(add(a, b)), a)]
+    # non-normal pairs whose heads tie below a swap: phi(j, x) is spelled
+    # with its fixed point x, so phi(i, x + k) against it reaches x against
+    # x, e.g. phi(2, X+1)+w+X against phi(3, X)+eps(1) with X = phi(eps0, 0)
+    for x in (phi(EPS0, ZERO), phi(OMEGA, ONE), phi(EPS0, OMEGA)):
+        for i, j in ((0, 1), (2, 3), (1, 4)):
+            fixed = Ordinal((VeblenTerm(from_int(j), x),) + phi(ONE, ONE).terms)
+            for k in (0, 1):
+                head = phi(from_int(i), add(x, from_int(k)))
+                pairs += [(Ordinal(head.terms + OMEGA.terms + x.terms), fixed), (head, fixed)]
     for a, b in pairs:
         want = reference_compare(a, b)
         assert compare(a, b) == want and compare(b, a) == -want, (a, b)

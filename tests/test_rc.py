@@ -1,11 +1,11 @@
 """Derivability for strictly positive modal formulas.
 
-Decision procedure (closure model + model check), certificate search,
-and word normal forms.  The randomized schema torture lives in the
-acceptance suite; this file keeps the hand-sized cases, the references
-the fast paths are checked against (the per-edge closure on dicts, the
-node-by-node model check, the normalize that keys every subformula from
-scratch) and the timing gates.
+Decision procedure (closure model + model check), certificates read off
+the decided model, and word normal forms.  The randomized schema torture
+lives in the acceptance suite; this file keeps the hand-sized cases, the
+references the fast paths are checked against (the per-edge closure on
+dicts, the node-by-node model check, the normalize that keys every
+subformula from scratch) and the timing gates.
 """
 
 import itertools
@@ -814,14 +814,14 @@ def test_derives_ignores_conjunct_order_and_duplicates():
 
 
 def test_proof_search_finds_axioms_at_depth_one():
-    d = rc.proof_search(f("p"), f("p"), max_depth=1)
+    d = rc.proof_search(f("p"), f("p"))
     assert d is not None and rc.check_derivation(d)
-    d = rc.proof_search(f("<1>p"), f("<0>p"), max_depth=2)
+    d = rc.proof_search(f("<1>p"), f("<0>p"))
     assert d is not None and rc.check_derivation(d)
 
 
 def test_proof_search_respects_depth_bound():
-    assert rc.proof_search(rc.TOP, f("<0>T"), max_depth=30) is None
+    assert rc.proof_search(rc.TOP, f("<0>T")) is None
 
 
 def test_proof_search_certificates_check_and_conclude():
@@ -960,7 +960,7 @@ def test_search_agrees_with_decision_procedure_positive(a):
         targets.append(rc.Diam(ZERO, b.body))
     for t in targets:
         assert rc.derives(a, t)
-        d = rc.proof_search(a, t, max_depth=14)
+        d = rc.proof_search(a, t)
         assert d is not None
         rc.check_derivation(d)
 

@@ -252,24 +252,6 @@ def test_evaluation_term_values_match_oracle():
     assert s.sent_map[f] == 1
 
 
-# ------------------------------------------------------------------- merge
-
-
-def test_merge_agreeing_evaluations():
-    a = tc.build_evaluation(pf("0 = 0"), EMPTY)
-    b = tc.build_evaluation(pf("0 = 0 & S(0) = S(0)"), EMPTY)
-    m = tc.merge_evaluations(a, b)
-    assert tc.is_evaluation(m, EMPTY) is True
-    assert len(m) >= len(b)
-
-
-def test_merge_conflict_raises():
-    a = tc.PartialEvaluation(term_map={tc.ZERO_T: 0})
-    b = tc.PartialEvaluation(term_map={tc.ZERO_T: 1})
-    with pytest.raises(ValueError):
-        tc.merge_evaluations(a, b)
-
-
 # ----------------------------------------------------------------- tr eval
 
 

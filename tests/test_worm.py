@@ -229,9 +229,19 @@ def test_order_type_at_the_letter_cap():
     assert order_type_at(OMEGA, Worm(shuffled)) is reference_order_type(lower(OMEGA, Worm(shuffled)))
 
 
+def test_order_type_past_the_letter_cap_needs_no_deep_stack(monkeypatch):
+    # comparison follows a term's argument chain in a loop, so a result
+    # nested about 400 levels deep gets its order type at the default
+    # recursion limit once the cap is raised
+    monkeypatch.setattr(worm, "MAX_DISTINCT_LETTERS", 1000)
+    letters = [add(OMEGA, from_int(k)) for k in range(400)]
+    random.Random(53).shuffle(letters)
+    assert compare(order_type(Worm(letters)), order_type(Worm(letters[1:]))) > 0
+
+
 def test_order_type_refuses_too_many_distinct_letters():
-    # a result nests about one level per distinct letter, and comparing
-    # ordinals walks that nesting recursively, so distinct letters are capped
+    # a result nests about one level per distinct letter, and past the cap
+    # it prints deeper than the parser reads, so distinct letters are capped
     increasing = Worm(from_int(i) for i in range(1, 301))
     assert MAX_DISTINCT_LETTERS >= 300
     too_many = Worm(from_int(i) for i in range(1, MAX_DISTINCT_LETTERS + 2))
