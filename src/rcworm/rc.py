@@ -14,13 +14,14 @@ under
   * transitivity       x R_a y and y R_a z        =>  x R_a z
   * the pairing law    x R_a y and x R_b z, b < a =>  y R_b z   (y = z allowed)
 
-The distinct indices of both formulas are ranked 1..k in ordinal order
-(derives states why nothing is lost), and each node keeps its parent and the
-rank of the diamond that seeded it.  The closed relation is a function of
-that tree alone (_holds proves the closed form), so it is never built: the
-right formula is model-checked at the root by two passes over the tree per
-diamond, one bottom-up and one top-down, over per-node flags; between
-diamonds a node set is an int, so a conjunction is one `&`.
+The distinct indices of the left formula are ranked 1..k in ordinal order,
+and any other index falls in a gap between two ranks (derives states why
+nothing is lost); each node keeps its parent and the rank of the diamond that
+seeded it.  The closed relation is a function of that tree alone (_holds
+proves the closed form), so it is never built: the right formula is
+model-checked at the root by two passes over the tree per diamond, one
+bottom-up and one top-down, over per-node flags; between diamonds a node set
+is an int, so a conjunction is one `&`.
 
 proof_search reads a certificate over the primitive rules off the same tree,
 which gives the rule behind each edge of the closure (_Extractor); it
@@ -30,6 +31,9 @@ variable-free formula off worm order types alone, with no model.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from math import ceil, floor
 
 from .errors import BudgetExceededError, NotVariableFreeError
 from .hashcons import Node
@@ -110,11 +114,9 @@ def conj(parts):
             flat.extend(p.conjuncts)
         elif not isinstance(p, _Top):
             flat.append(p)
-    if not flat:
-        return TOP
-    if len(flat) == 1:
-        return flat[0]
-    return And(flat)
+    if len(flat) > 1:
+        return And(flat)
+    return flat[0] if flat else TOP
 
 
 def worm_formula(w):
@@ -166,7 +168,13 @@ def normalize(f):
 
 
 def build_q(beta, k, f):
-    """Iterated reflection tower: q(0) = f, q(k+1) = <beta>(f & q(k))."""
+    """Iterated reflection tower: q(0) = f, q(k+1) = <beta>(f & q(k)).  A
+    tower whose text would pass Q_CHARS is refused before any node is built."""
+    from .syntax import render
+
+    part = len(render(f)) + 2 * isinstance(f, And)  # f's text as a conjunct
+    if k and k * (len(render(beta)) + part + 7) + part > Q_CHARS:
+        raise BudgetExceededError("rc q text passes %d characters (Q_CHARS)" % Q_CHARS)
     out = f
     for _ in range(k):
         out = Diam(beta, And((f, out)))
@@ -177,32 +185,31 @@ def build_q(beta, k, f):
 
 
 class RcModel:
-    """Finite tree frame over the ranked indices of a sequent.
+    """Finite tree frame over the ranked indices of the left formula.
 
-    The distinct indices the model was built over are ranked 1..k in
-    ordinal order; `strengths` lists them by rank, so strengths[r] is the
-    top index an edge of rank r admits ([0] unused).  The tree is the only
-    edge store: parent[y] is y's parent in _seed's preorder (-1 at the root)
-    and seed[y] the rank of the diamond that seeded y (0 at the root).  The
-    closed relation is a function of the tree (_holds); `related` reads one
-    entry of it and `edges` all of them.  `formula` is the left side the
-    nodes were seeded from; a question about an index the model did not rank
-    rebuilds the model from it with that index added.
+    Its distinct indices are ranked 1..k in ordinal order, and strengths[r]
+    is the top index an edge of rank r admits ([0] unused); rank_of(a) is
+    a's rank, or the half rank of the gap an unranked a falls in.  The tree
+    is the only edge store: parent[y] is y's parent in _seed's preorder (-1
+    at the root) and seed[y] the rank of the diamond that seeded y (0 at the
+    root).  The closed relation is a function of the tree (_holds); `admits`
+    reads one entry of it and `edges` all of them.
     """
 
-    __slots__ = ("labels", "parent", "seed", "rank", "formula")
+    __slots__ = ("labels", "parent", "seed", "rank", "strengths")
 
-    def __init__(self, labels, parent, seed, rank, formula):
+    def __init__(self, labels, parent, seed, rank):
         self.labels = labels    # list of frozensets of variable names
         self.parent = parent    # node -> its parent, -1 at the root
         self.seed = seed        # node -> the rank of its seeding diamond, 0 at the root
         self.rank = rank        # ranked index -> its rank, 1..k
-        self.formula = formula
+        self.strengths = [None] * (len(rank) + 1)
+        for a, r in rank.items():
+            self.strengths[r] = a
 
-    @property
-    def strengths(self):
-        """The ranked indices in rank order, after an unused [0]."""
-        return [None] + sorted(self.rank, key=self.rank.__getitem__)
+    def rank_of(self, a):
+        """a's rank, or i + 1/2 when a is not ranked and i ranked indices lie below it (derives)."""
+        return self.rank.get(a) or bisect_left(self.strengths, a, 1) - 0.5
 
     @property
     def edges(self):
@@ -225,14 +232,8 @@ class RcModel:
             rows[y] = row
         return rows
 
-    def related(self, x, alpha, y):
-        r = self.rank.get(alpha)
-        if r is None:
-            return build_minimal_model(self.formula, Diam(alpha, TOP)).related(x, alpha, y)
-        return self.admits(x, r, y)
-
     def admits(self, x, r, y):
-        """Whether the edge x -> y has rank r or more: y is in Q_r(x) (_holds)."""
+        """Whether the edge x -> y has rank (or half rank) r or more: y is in Q_r(x) (_holds)."""
         parent, seed = self.parent, self.seed
         while x and seed[x] > r:  # climb to top_r(x)
             x = parent[x]
@@ -246,18 +247,16 @@ def _parts(f):
     return f.conjuncts if isinstance(f, And) else () if f is TOP else (f,)
 
 
-def _indices(f):
-    """The diamond indices of f, one per distinct diamond subformula."""
-    return [g.index for g in _postorder(f) if isinstance(g, Diam)]
+def build_minimal_model(f):
+    """Tree model of f (_seed), over the distinct indices of f in ordinal order."""
+    return _model(*_seed(f))
 
 
-def build_minimal_model(f, g=TOP):
-    """Tree model of f: one node per diamond occurrence plus the root
-    (_seed), over the distinct indices of f and g ranked together."""
-    labels, tree = _seed(f)
-    rank = ranks([d.index for _, _, d in tree] + _indices(g))
+def _model(labels, tree):
+    """The model of a seeding walk's (labels, tree)."""
+    rank = ranks([d.index for _, _, d in tree])
     return RcModel(labels, [-1] + [x for x, _, _ in tree],
-                   [0] + [rank[d.index] for _, _, d in tree], rank, f)
+                   [0] + [rank[d.index] for _, _, d in tree], rank)
 
 
 def _seed(f):
@@ -292,18 +291,13 @@ def _seed(f):
 
 
 def model_check(model, node, f):
-    """Whether f holds at `node` of the model (_holds).  An index the model
-    did not rank rebuilds it once, over the indices of f as well."""
-    hit = _holds(model, f)
-    if hit is None:
-        return model_check(build_minimal_model(model.formula, f), node, f)
-    return bool(hit[f] >> node & 1)
+    """Whether f holds at `node` of the model (_holds)."""
+    return bool(_holds(model, f)[f] >> node & 1)
 
 
 def _holds(model, f):
     """Each distinct subformula of f -> the nodes where it holds, as an int
-    with bit x set for node x, or None when f has an index the model did not
-    rank.
+    with bit x set for node x.
 
     Each subformula (one interned object) is evaluated once, after its parts
     (_postorder): TOP holds everywhere, a variable where it labels the node,
@@ -330,13 +324,12 @@ def _holds(model, f):
         (Pairing across a gap of ranks follows by the downward law.)
     So Q is a closed relation inside R that holds the seeds, and Q = R.
 
-    Hence <a>B, r = rank of a, holds at y iff D_r(top_r(y)) meets B.  The
+    Hence <a>B, r = rank_of(a), holds at y iff D_r(top_r(y)) meets B.  The
     bottom-up pass marks each u where D_r(u) meets B: u has an r-high child
     where B holds or which is marked.  A mark passes up every r-high edge,
     so a climb meets a mark iff it ends at one, and the top-down pass copies
-    the answer at a parent down each (r+1)-high edge.  In ranks, the entry
-    of R on (y, z) is max(T_y[z], min(seed[y] - 1, R[parent y, z])), T_y[z]
-    the least seed rank on the path from y down to z (edges).
+    the answer at a parent down each (r+1)-high edge.  As both compare seed
+    ranks with r by >= and > alone, the half rank of a gap is exact (derives).
 
     The passes run over flags: bin(B | 1 << n) has one ASCII digit per node,
     node x at index ~x.  Marking or-s 2 into a digit, so one bytearray holds
@@ -345,21 +338,21 @@ def _holds(model, f):
     parent, seed, rank, labels = model.parent, model.seed, model.rank, model.labels
     n = len(labels)
     top = 1 << n
-    high = {}  # r -> the (child, parent) flag indices of r-high edges, deepest first
+    high = {}  # m -> the (child, parent) flag indices of edges of seed rank >= m, deepest first
     memo = {}
     for g in _postorder(f):
         cls = g.__class__
         if cls is Diam:
-            r = rank.get(g.index)
-            if r is None:
-                return None
-            hit, up = memo[g.body], high.get(r)
+            r = rank.get(g.index) or model.rank_of(g.index)
+            hit, m = memo[g.body], ceil(r)  # the r-high edges
+            up = high.get(m)
             if up is None:
-                up = high[r] = [(~c, ~parent[c]) for c in range(n - 1, 0, -1) if seed[c] >= r]
+                up = high[m] = [(~c, ~parent[c]) for c in range(n - 1, 0, -1) if seed[c] >= m]
             if hit and up:
-                down = high.get(r + 1)
+                m = floor(r) + 1  # the (r+1)-high edges: seed rank > r
+                down = high.get(m)
                 if down is None:
-                    down = high[r + 1] = [(~c, ~parent[c]) for c in range(n - 1, 0, -1) if seed[c] > r]
+                    down = high[m] = [(~c, ~parent[c]) for c in range(n - 1, 0, -1) if seed[c] >= m]
                 flags = bytearray(bin(hit | top).encode())
                 for c, p in up:  # bottom-up: c in B or marked, its digit not "0"
                     if flags[c] != 48:
@@ -388,28 +381,32 @@ _MARKS = bytes.maketrans(b"123", b"011")  # marked "2", "3" -> "1"; "0b1..." -> 
 def derives(f, g):
     """True when f proves g: g holds at the root of the tree model of f.
 
-    The model is closed over J, the distinct indices of f and g, ranked
-    1..k, not over all ordinals.  This loses nothing.  Lemma: let R be the
-    least family of relations R_a, one per ordinal a, that contains the
-    seeded edges (all indexed in J) and obeys the three frame conditions,
-    and R' the least such family over J alone.  Then R_j = R'_j for every
-    j in J.  Proof.  R restricted to J obeys the conditions over J and holds
-    the seeds, so R' is inside it.  Conversely, extend R' to all ordinals:
-    an a outside J gets T_j, the least transitive relation containing R'_j
-    that is also Euclidean (x T y and x T z give y T z), where j is the least
-    element of J above a (no such j: the empty relation).  For b < j in J
-    the relation {(x, y) : x R'_b y and R'_b(x) is inside R'_b(y)} contains
-    R'_j (pairing), and is transitive and Euclidean, so it contains T_j.
-    That gives downward closure from a gap to b and pairing from a gap onto
-    b; pairing onto a gap level follows from the Euclidean law, since every
-    edge above the gap lies in R'_j, inside T_j.  So the extension obeys the
-    conditions over all ordinals and holds the seeds; R lies inside it, and
-    R_j is inside R'_j.  As g asks only about indices in J, both closures
-    give the same answer.  The same argument shows derivability depends only
-    on the order type of the indices (Dashkov, Math. Notes 91, 2012;
-    Beklemishev, "Calibrating provability logic", AiML 9, 2012).
+    The model is closed over J, the distinct indices of f, ranked 1..k, not
+    over all ordinals.  This loses nothing.  Lemma: let R be the least family
+    of relations R_a, one per ordinal a, that holds the seeded edges and
+    obeys the three frame conditions, and R' the least such family over a
+    set J' that contains J.  Then R_j = R'_j for every j in J'.  Proof.  R
+    restricted to J' obeys the conditions over J' and holds the seeds, so R'
+    is inside it.  Conversely, extend R' to all ordinals: an a outside J'
+    gets T_j, the least transitive relation containing R'_j that is also
+    Euclidean (x T y and x T z give y T z), where j is the least element of
+    J' above a (no such j: the empty relation).  For b < j in J' the
+    relation {(x, y) : x R'_b y and R'_b(x) is inside R'_b(y)} contains R'_j
+    (pairing), and is transitive and Euclidean, so it contains T_j.  That
+    gives downward closure from a gap to b and pairing from a gap onto b;
+    pairing onto a gap level follows from the Euclidean law, since every
+    edge above the gap lies in R'_j, inside T_j.  So the extension obeys
+    the conditions and holds the seeds; R lies inside it, and R_j in R'_j.
+
+    With J' = J, the model is R on J.  An index a of g outside J, above i
+    indices of J, has rank i + 1 over J' = J + {a}, whose tree is the same
+    with each seed rank above i one more.  _holds compares seed ranks with r
+    only by >= and >, so at the half rank i + 1/2 (rank_of) it answers by
+    R_a, as that model does at i + 1.  So derivability depends only on the
+    order of the indices (Dashkov, Math. Notes 91, 2012; Beklemishev,
+    "Calibrating provability logic", AiML 9, 2012).
     """
-    return model_check(build_minimal_model(f, g), 0, g)
+    return model_check(build_minimal_model(f), 0, g)
 
 
 # ------------------------------------------------------------- derivations
@@ -509,8 +506,10 @@ def _valid(d):
 # The most characters of certificate text: to_lines stops past them, and the
 # extractor after CERTIFICATE_CHARS // 20 derivation nodes, since no line is
 # shorter than 20 characters.  Text grows as lines times formula length: a run
-# of 50 <1>s against <1>p prints 0.75 MB, a run of 200 42 MB.
+# of 50 <1>s against <1>p prints 0.75 MB, a run of 200 42 MB.  Q_CHARS bounds
+# the text of a build_q tower: `rc q 1 111111 p` prints that many characters.
 CERTIFICATE_CHARS = 10 ** 6
+Q_CHARS = 10 ** 6
 
 
 def proof_search(f, g):
@@ -547,21 +546,21 @@ class _Extractor:
     descendant of x, whose path from x is r-high as part of the path from
     top_r(x), so transitivity through x's child w on it; or else pairing
     from u, the lowest node that is a proper ancestor of both.  Then u is on
-    x's climb to top_r(x), so (u, x) admits r + 1 and (u, y) admits r along
-    tree paths.  The premises of a
-    pairing are tree paths, and those of a tree path are shorter tree paths,
-    so the recursion ends.  A walk down g picks each diamond's witness from
-    the node sets of _holds and calls E once the witness embeds the body.
-    A lemma whose node already embeds its conclusion does nothing, and every
-    added conjunct is a diamond subformula of g, so there are at most nodes
-    x (diamond subformulas of g) steps.  Embedded, not literally present,
-    since a later step grows a conjunct an earlier test matched.  Pending
-    lemmas wait on a stack, so nothing recurses per node or diamond.
+    x's climb to top_r(x), so (u, x) admits the least rank above r and
+    (u, y) admits r along tree paths.  The premises of a pairing are tree
+    paths, and those of a tree path are shorter tree paths, so the recursion
+    ends.  A walk down g picks each diamond's witness from the node sets of
+    _holds and calls E once the witness embeds the body.  A lemma whose node
+    already embeds its conclusion does nothing, and every added conjunct is
+    a diamond subformula of g, so there are at most nodes x (diamond
+    subformulas of g) steps.  Embedded, not literally present, since a later
+    step grows a conjunct an earlier test matched.  Pending lemmas wait on a
+    stack, so nothing recurses per node or diamond.
     """
 
     def __init__(self, f, g):
-        self.model = model = build_minimal_model(f, g)
-        _, tree = _seed(f)
+        labels, tree = _seed(f)
+        self.model = model = _model(labels, tree)
         self.g, self.parent, self.sat = g, model.parent, _holds(model, g)
         self.parts = [list(_parts(f))] + [list(_parts(d.body)) for _, _, d in tree]
         self.body = [f] + [d.body for _, _, d in tree]
@@ -586,7 +585,7 @@ class _Extractor:
         out = []
         for c in _parts(s):
             if isinstance(c, Diam) and not self.embedding(self.body[y], c):
-                r, hit = self.model.rank[c.index], self.sat[c.body]
+                r, hit = self.model.rank_of(c.index), self.sat[c.body]
                 z = next(z for z in range(len(self.body)) if hit >> z & 1 and self.model.admits(y, r, z))
                 out += [(self.hold, (z, c.body)), (self.lemma_e, (y, z, c, c.body, y == 0))]
         return out

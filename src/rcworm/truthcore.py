@@ -366,7 +366,8 @@ class FiniteStructure:
 
 def load_structure(source):
     """Structure from a JSON map predicate -> list of members (naturals, or
-    tuples as lists for higher arity)."""
+    tuples as non-empty lists of naturals for higher arity).  Anything else,
+    a boolean included, is a ParseError."""
     if isinstance(source, str):
         try:
             with open(source, encoding="utf-8") as fh:
@@ -375,13 +376,19 @@ def load_structure(source):
             raise ParseError("structure file %s: %s" % (source, e)) from None
     else:
         data = source
-    if isinstance(data, dict):
-        try:
-            return FiniteStructure(data)
-        except TypeError:  # rows that are not a list of members
-            pass
+    if isinstance(data, dict) and all(type(rows) is list and all(map(_member, rows))
+                                      for rows in data.values()):
+        return FiniteStructure(data)
     raise ParseError("a structure is a JSON object mapping each predicate "
-                     "to a list of naturals or lists of naturals")
+                     "to a list of naturals or non-empty lists of naturals")
+
+
+def _natural(x):
+    return type(x) is int and x >= 0  # a bool is no natural
+
+
+def _member(r):
+    return _natural(r) or type(r) is list and r != [] and all(map(_natural, r))
 
 
 def eval_term(t):

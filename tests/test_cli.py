@@ -86,6 +86,13 @@ def test_rc_commands(capsys):
     assert run(capsys, "rc", "wnf", "<1>T & <0>T") == (0, "[1,0]")
 
 
+def test_rc_q_past_the_text_budget_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "rc", "q", "1", "1000000000", "p")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "error: rc q text passes 1000000 characters (Q_CHARS)")
+
+
 def test_rc_q_rejects_negative_k(capsys):
     for k in ("-3", "x"):
         with pytest.raises(SystemExit) as e:
@@ -497,12 +504,25 @@ def test_levels_out_of_order_are_a_parse_error(capsys):
 
 
 @pytest.mark.parametrize("content", [b"not json", b"[0, 1]", b"null", b'{"P": 5}', b'{"P": [0.5]}',
-                                     b'\xff{"P": [0]}'])
+                                     b'\xff{"P": [0]}', b'{"P": "12"}', b'{"P": ["a"]}', b'{"P": [-1]}',
+                                     b'{"P": [[1, "x"]]}', b'{"P": [true]}', b'{"P": [[]]}',
+                                     b'{"P": [[1, false]]}'])
 def test_malformed_structure_file_is_a_parse_error(tmp_path, capsys, content):
     sfile = tmp_path / "m.json"
     sfile.write_bytes(content)
-    code, out = run(capsys, "truth", "eval", "P(0)", "--structure", str(sfile))
-    assert code == 2 and out.startswith("parse error:")
+    for sentence in ("P(0)", "P(1)"):  # true is no member, so P(1) may not hold
+        code, out = run(capsys, "truth", "eval", sentence, "--structure", str(sfile))
+        assert code == 2 and out.startswith("parse error:")
+
+
+def test_structure_members_of_mixed_arity_load(tmp_path, capsys):
+    sfile = tmp_path / "m.json"
+    sfile.write_text('{"P": [1, [2, 3]]}')
+    assert run(capsys, "truth", "eval", "P(1) & P(2, 3) & ~P(2)", "--structure", str(sfile)) == (0, "true")
+    path = tmp_path / "checks.txt"
+    path.write_text('truth-eval ; P(1) ; {"P": [1, [2, 3]]} ; true\ntruth-eval ; P(1) ; {"P": [true]} ; true\n')
+    passed, failures = run_fixture_file(str(path))
+    assert passed == 1 and [why.split(":")[0] for _, _, why in failures] == ["ParseError"]
 
 
 def test_overlong_literals_are_refused(capsys):

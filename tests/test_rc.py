@@ -262,6 +262,21 @@ def test_build_q_shape():
     assert q2 == rc.Diam(ONE, rc.And((rc.TOP, rc.Diam(ONE, rc.And((rc.TOP, rc.TOP))))))
 
 
+def test_build_q_refuses_a_tower_whose_text_passes_the_budget():
+    # the text has k (|beta| + |f| + 7) + |f| characters, |f| counting the
+    # parentheses of a conjunction as a conjunct
+    for text in ("p", "p & <w>q", "T", "<2>(p & q)"):
+        g = f(text)
+        part = len(render(g)) + 2 * isinstance(g, rc.And)
+        for k in range(1, 4):
+            assert len(render(rc.build_q(OMEGA, k, g))) == k * (part + 8) + part, (text, k)
+    name = rc.Var("v" * 992)  # 1,000 characters a level
+    assert len(render(rc.build_q(ONE, 999, name))) == 999_992 <= rc.Q_CHARS
+    for k in (1000, 10 ** 12):
+        with pytest.raises(BudgetExceededError):
+            rc.build_q(ONE, k, name)
+
+
 # ------------------------------------------------------------------- model
 
 
@@ -405,13 +420,29 @@ def in_order(indices):
     return sorted(set(indices), key=cmp_to_key(compare))
 
 
+def diamond_indices(g):
+    return [h.index for h in subformulas(g) if isinstance(h, rc.Diam)]
+
+
 def assert_matches_reference(f, g=rc.TOP):
-    model = rc.build_minimal_model(f, g)
+    """The model of f has the reference closure's edges over f's ranks, and
+    admits each index of g, at its rank or half rank, on exactly the edges of
+    the all-ordinal closure whose strength contains it.  Returns the answers
+    given at half ranks."""
+    model = rc.build_minimal_model(f)
     labels, edges = reference_model(f)
     assert model.labels == labels
-    assert model.strengths[1:] == in_order(rc._indices(f) + rc._indices(g))
+    assert model.strengths[1:] == in_order(diamond_indices(f))
     assert model.edges == ranked(edges, model.strengths)
-    return model
+    nodes, gaps = range(len(labels)), set()
+    for a in set(diamond_indices(g)):
+        r = model.rank_of(a)
+        for x, y in itertools.product(nodes, nodes):
+            want = y in edges[x] and s_contains(edges[x][y], a)
+            assert model.admits(x, r, y) is want, (render(f), render(a), x, y)
+            if a not in model.rank:
+                gaps.add(want)
+    return gaps
 
 
 def transfinite_pool(rng, count):
@@ -438,17 +469,19 @@ def test_closure_matches_reference_on_random_formulas():
 
 
 def test_closure_matches_reference_over_indices_only_the_right_side_has():
-    # The right side's indices are ranked too, and they fall in the gaps
-    # between the left side's (finite gaps up to 40 wide): an edge the
+    # The right side's indices are not ranked: they fall in the gaps between
+    # the left side's (finite gaps up to 40 wide), and an edge the
     # all-ordinal closure puts at <4> under a seeded <5> must admit 3.
     rng = random.Random(2027)
     pool = [from_int(k) for k in range(41)] + SMALL_ORDINALS[4:] + transfinite_pool(rng, 6)
+    gaps = set()
     for _ in range(400):
         indices = rng.sample(pool, rng.randint(2, 8))
         k = rng.randint(1, len(indices) - 1)
         lhs = rand_formula(rng, rng.randrange(1, 30), indices[:k])
         rhs = rand_formula(rng, rng.randrange(2, 10), indices[k:])
-        assert_matches_reference(lhs, rhs)
+        gaps |= assert_matches_reference(lhs, rhs)
+    assert gaps == {True, False}
 
 
 def test_closure_matches_reference_on_random_preorder_trees():
@@ -476,7 +509,7 @@ def test_closure_matches_reference_on_random_preorder_trees():
             path.append(y)
         rank = ordinal.ranks(indices)
         model = rc.RcModel([frozenset()] * len(seeded), [-1] + [x for x, _, _ in tree],
-                           [0] + [rank[d.index] for _, _, d in tree], rank, rc.TOP)
+                           [0] + [rank[d.index] for _, _, d in tree], rank)
         assert model.edges == ranked(reference_close(seeded), [None] + in_order(indices))
     assert shapes == {"equal siblings", "rise"}
 
@@ -526,7 +559,7 @@ def test_holds_matches_the_reference_closure_across_flag_sizes():
                 seed.append(rank[a])
                 path.append(y)
             labels = [frozenset(v for v in "pqr" if rng.random() < 0.3) for _ in range(n)]
-            model = rc.RcModel(labels, parent, seed, rank, rc.TOP)
+            model = rc.RcModel(labels, parent, seed, rank)
             edges = reference_close(seeded)
             for _ in range(6):
                 g = rand_formula(rng, rng.randrange(1, 12), indices)
@@ -568,19 +601,38 @@ def test_model_check_basics():
     assert not rc.model_check(m, 0, f("<0><0>T"))
     m2 = rc.build_minimal_model(f("<1>T"))
     assert rc.model_check(m2, 0, f("<0>T"))
-    assert m2.related(0, ZERO, 1) and m2.related(0, ONE, 1)
-    assert not m2.related(0, TWO, 1) and not m2.related(1, ZERO, 0)
+    def related(x, a, y):
+        return m2.admits(x, m2.rank_of(a), y)
+
+    assert related(0, ZERO, 1) and related(0, ONE, 1)
+    assert not related(0, TWO, 1) and not related(1, ZERO, 0)
 
 
-def test_an_unranked_index_rebuilds_the_model():
-    # over {5} alone the two siblings are unrelated; over {3, 5} the
-    # pairing law relates them at 3
+def test_an_unranked_index_falls_in_a_gap():
+    # the two siblings are unrelated at 5, the only rank; 3 falls in the
+    # gap below it, at the half rank 1/2, where the pairing law relates them
     m = rc.build_minimal_model(f("<5>p & <5>q"))
     assert m.strengths == [None, from_int(5)]
-    assert not m.related(1, from_int(5), 2) and m.related(1, THREE, 2)
+    assert (m.rank_of(from_int(5)), m.rank_of(THREE), m.rank_of(OMEGA)) == (1, 0.5, 1.5)
+    assert not m.admits(1, m.rank_of(from_int(5)), 2) and m.admits(1, m.rank_of(THREE), 2)
     assert rc.model_check(m, 0, f("<5>(p & <3>q)"))
     assert not rc.model_check(m, 0, f("<5>(p & <5>q)"))
     assert m.strengths == [None, from_int(5)]
+
+
+def test_no_question_seeds_the_model_again(monkeypatch):
+    # model_check asks a model about an index it did not rank without a
+    # second seeding walk, and proof_search seeds once
+    calls = []
+    seed = rc._seed
+    monkeypatch.setattr(rc, "_seed", lambda g: calls.append(g) or seed(g))
+    lhs, rhs = f("<5>p & <5>q"), f("<5>(p & <3>q)")
+    m = rc.build_minimal_model(lhs)
+    assert len(calls) == 1
+    assert rc.model_check(m, 0, rhs) and len(calls) == 1
+    assert rc.model_check(m, 1, f("<0>q")) and not rc.model_check(m, 0, f("<w>T"))
+    assert len(calls) == 1
+    assert rc.proof_search(lhs, rhs) is not None and len(calls) == 2
 
 
 def lazy_check(labels, edges, admits, node, f):
@@ -606,8 +658,16 @@ def lazy_check(labels, edges, admits, node, f):
     return sat(node, f)
 
 
-def reference_model_check(model, node, f):
-    return lazy_check(model.labels, model.edges, lambda r, a: r >= model.rank[a], node, f)
+def reference_checker(lhs, rhs):
+    """The node-by-node check on the model of lhs ranked over the indices of
+    lhs and rhs together, built here from rc._seed with no rank_of: a
+    function (node, goal) -> whether goal holds there, for goals over those
+    indices."""
+    labels, tree = rc._seed(lhs)
+    rank = ordinal.ranks([d.index for _, _, d in tree] + diamond_indices(rhs))
+    edges = rc.RcModel(labels, [-1] + [x for x, _, _ in tree],
+                       [0] + [rank[d.index] for _, _, d in tree], rank).edges
+    return lambda node, g: lazy_check(labels, edges, lambda r, a: r >= rank[a], node, g)
 
 
 def reference_derives(f, g):
@@ -626,20 +686,19 @@ def subformulas(g):
 
 
 def assert_check_matches_reference(rng, lhs, rhs, nodes):
-    """Both checks agree on rhs and on some of lhs's own subformulas (which
-    hold at many nodes), at the root and at `nodes` random other nodes; the
-    check agrees too on a model built without rhs's indices."""
-    model = rc.build_minimal_model(lhs, rhs)
-    narrow = rc.build_minimal_model(lhs)
+    """The model of lhs, asked about rhs and some of lhs's own subformulas
+    (which hold at many nodes), at the root and at `nodes` random other
+    nodes, answers as the reference check over the indices of both sides."""
+    model = rc.build_minimal_model(lhs)
+    reference = reference_checker(lhs, rhs)
     parts = list(subformulas(lhs))
     goals = [rhs, rng.choice(parts), rng.choice(parts)]
     at = [0] + [rng.randrange(len(model.labels)) for _ in range(nodes)]
     answers = set()
     for g in goals:
         for x in at:
-            want = reference_model_check(model, x, g)
+            want = reference(x, g)
             assert rc.model_check(model, x, g) is want, (lhs, g, x)
-            assert rc.model_check(narrow, x, g) is want, (lhs, g, x)
             answers.add(want)
     return answers
 

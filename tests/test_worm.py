@@ -27,7 +27,7 @@ from rcworm.ordinal import (
     paper_phi,
     phi,
 )
-from rcworm import worm
+from rcworm import rc, worm
 from rcworm.syntax import parse_ordinal, parse_worm
 from rcworm.worm import (
     EMPTY,
@@ -197,6 +197,25 @@ def test_order_type_at_matches_reference_on_the_lowered_worm():
         least = min(v.letters, key=cmp_to_key(compare), default=ZERO)
         alpha = rng.choice([a for a in levels if compare(a, least) <= 0] + [least])
         assert order_type_at(alpha, v) is reference_order_type(lower(alpha, v)), (alpha, v)
+
+
+def test_level_order_is_derivability():
+    # A precedes B at level a exactly when B |- <a>A (Beklemishev, APAL 128,
+    # 2004), for worms in the a fragment.  Each side checks the other:
+    # derives computes no order type, and compare_at uses no gap rank, which
+    # the model of B asks <a> at whenever B lacks the letter a.
+    rng = random.Random(6)
+    letters = [ZERO, ONE, from_int(2), OMEGA, add(OMEGA, ONE)]
+    answers, gaps = set(), 0
+    for _ in range(8000):
+        a = rng.choice(letters[:4])
+        fragment = [x for x in letters if compare(x, a) >= 0]
+        A, B = (Worm(rng.choices(fragment, k=rng.randint(0, 5))) for _ in "AB")
+        want = compare_at(a, A, B) < 0
+        assert rc.derives(rc.worm_formula(B), rc.Diam(a, rc.worm_formula(A))) is want, (a, A, B)
+        answers.add(want)
+        gaps += a not in B.letters
+    assert answers == {True, False} and gaps > 2000, gaps
 
 
 def _no_lowering(alpha, v):
