@@ -164,13 +164,13 @@ def _cmd_ord_analysis(args):
 
 
 def _cmd_fgh(args):
-    n = spectra.fgh_eval(parse_ordinal(args.alpha), args.x, guard=args.guard)
+    n = spectra.fgh_eval(parse_ordinal(args.alpha), args.x)
     return str(n), n
 
 
 def _structure_from(args):
     if args.structure is None:
-        return truthcore.FiniteStructure()
+        return truthcore.FiniteStructure({})
     return truthcore.load_structure(args.structure)
 
 
@@ -338,7 +338,7 @@ _COMMANDS = {
     "rc wnf": (_cmd_rc_wnf, "f"),
     "spectrum": (_cmd_spectrum, "theory", ("--levels", {"required": True})),
     "ord-analysis": (_cmd_ord_analysis, "theory"),
-    "fgh": (_cmd_fgh, "alpha", ("x", _COUNT), ("--guard", {"type": int, "default": 20000})),
+    "fgh": (_cmd_fgh, "alpha", ("x", _COUNT)),
     "truth eval": (_cmd_truth_eval, "formula", _STRUCTURE),
     "truth build-ef": (_cmd_truth_build_ef, "formula", _STRUCTURE),
     "truth classify": (_cmd_truth_classify, "formula"),

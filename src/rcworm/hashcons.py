@@ -40,7 +40,8 @@ class Node:
     """A hash-consed node.  A concrete class lists its fields, and only its
     fields, in __slots__; its caches (free variables, a sort key, a code) sit
     in a base class's slots, and its _fill() sets them when the node is
-    built."""
+    built.  _fill() may refuse the node by raising; the node is then stored
+    nowhere, since it enters the table only after _fill() returns."""
 
     __slots__ = ("__weakref__",)
 

@@ -4,8 +4,9 @@ A notation is a finite sum of binary Veblen terms phi(a, b) kept in normal
 form: the term list is non-increasing in value, and no argument b is itself
 a single term phi(c, d) with c > a (such a b is a fixed point of phi_a and
 the outer phi would collapse onto it).  phi(0, b) denotes w^b, so finite
-ordinals are sums of phi(0, 0).  Every operation returns normal forms and
-every notation below Gamma_0 has exactly one representation.
+ordinals are sums of phi(0, 0).  The constructors refuse any other spelling
+with InvalidCodeError, so every notation below Gamma_0 has exactly one
+representation.
 
 Godel coding (bit-exact, needed to reproduce the catalog numbers):
 
@@ -55,16 +56,13 @@ sits far above every literal the tests and fixtures use (the largest is
 # rewrites.
 #
 # Order labels (Dietz & Sleator, "Two algorithms for maintaining order in a
-# list", STOC 1987): every live term in normal form carries an integer label,
-# and labels increase with the terms' values.  _LABELLED holds weak references
-# to the labelled terms, sorted by label.  A new term is binary-searched in
-# with _cmp_term, takes the midpoint of its neighbours' labels, and the whole
-# list is relabelled evenly only when no gap is left.  A dead term is dropped
-# by bisecting on the label its weak reference carries.  A term whose index
-# or argument is not a normal form, or whose argument is a fixed point of
-# phi_index, gets no label and is compared structurally, so two labelled
-# terms never tie, and compare decides two normal summands by one label
-# comparison.
+# list", STOC 1987): every live term carries an integer label, and labels
+# increase with the terms' values.  _LABELLED holds weak references to the
+# terms, sorted by label.  A new term is binary-searched in with _cmp_term,
+# takes the midpoint of its neighbours' labels, and the whole list is
+# relabelled evenly only when no gap is left.  A dead term is dropped by
+# bisecting on the label its weak reference carries.  Two distinct terms never
+# tie, so compare decides two summands by one label comparison.
 
 _BY_CODE = weakref.WeakValueDictionary()  # Godel code -> normal-form Ordinal
 _LABELLED = []  # _LabelRef to each labelled term, by increasing label
@@ -140,25 +138,26 @@ class _TermCaches(Node):
 
 class VeblenTerm(_TermCaches):
     """One summand phi(index, argument); `_code` caches its pair code, and
-    `label` is its order label, or None when the term is no normal form."""
+    `label` is its order label.  InvalidCodeError when the argument is a
+    fixed point of phi_index, whose normal form is the argument itself."""
 
     __slots__ = ("index", "argument")
 
     def _fill(self):
+        if _fixed_point(self.index, self.argument):
+            raise InvalidCodeError("phi(a, b) is no normal form when b is a fixed point of phi_a")
         self._code = self.label = None
-        index, argument = self.index, self.argument
-        if index._normal and argument._normal and not _fixed_point(index, argument):
-            _label(self)
+        _label(self)
 
 
 class _OrdinalCaches(Node):
-    __slots__ = ("_code", "_normal")
+    __slots__ = ("_code",)
 
 
 class Ordinal(_OrdinalCaches):
     """A notation: tuple of VeblenTerm summands, largest first.  () is 0.
-    `_code` caches its Godel code once computed; `_normal` says whether the
-    notation is a normal form."""
+    `_code` caches its Godel code once computed.  InvalidCodeError when a
+    summand is larger than the one before it."""
 
     __slots__ = ("terms",)
 
@@ -166,8 +165,12 @@ class Ordinal(_OrdinalCaches):
         return Node.__new__(cls, tuple(terms))
 
     def _fill(self):
+        last = inf
+        for t in self.terms:
+            if t.label > last:
+                raise InvalidCodeError("the summands of a normal form do not increase")
+            last = t.label
         self._code = None
-        self._normal = _non_increasing(self.terms)
 
     def is_zero(self):
         return not self.terms
@@ -198,24 +201,12 @@ class Ordinal(_OrdinalCaches):
         return "Ordinal<%s>" % render(self)
 
 
-def _non_increasing(terms):
-    """Whether every summand is labelled and no label exceeds the one before:
-    the summand conditions of a normal form."""
-    last = None
-    for t in terms:
-        label = t.label
-        if label is None or (last is not None and label > last):
-            return False
-        last = label
-    return True
-
-
 def _fixed_point(a, b):
     """Whether b is a fixed point of phi_a: one term phi(c, d) with c > a."""
     return len(b.terms) == 1 and compare(b.terms[0].index, a) > 0
 
 
-def _cmp_term(s, t, low=-inf, high=inf):
+def _cmp_term(s, t, low, high):
     """The order of the values of terms s and t: -1, 0 or 1, in one loop.
 
     Two labelled terms compare by label.  Else, for s = phi(a1, b1) and
@@ -223,19 +214,18 @@ def _cmp_term(s, t, low=-inf, high=inf):
     against t: s < t when b1 = 0, else b1's head against t, where a tie means
     s > t when b1 has more summands and s = t when not.  a1 > a2 is that
     swapped.  The loop carries the sign of the swaps and the answer to give
-    if the heads below tie.  Only _label passes low and high: its new term is
-    the one unlabelled term met, above any labelled term at or below low and
-    below any at or above high."""
+    if the heads below tie.  _label's new term is the one unlabelled term
+    met, above any labelled term at or below low and below any at or above
+    high.  A labelled t is inside that window: the probe is, and a chain
+    term that leaves it is answered while it is still s."""
     sign, tie = 1, 0
     while s is not t:
-        x, y = s.label, t.label
+        x = s.label
         if x is not None:
-            if y is not None:
-                return sign if x > y else -sign
+            if t.label is not None:
+                return sign if x > t.label else -sign
             if not low < x < high:
                 return sign if x >= high else -sign
-        elif y is not None and not low < y < high:
-            return -sign if y >= high else sign
         c = compare(s.index, t.index)
         if c == 0:
             c = compare(s.argument, t.argument)
@@ -253,18 +243,12 @@ def _cmp_term(s, t, low=-inf, high=inf):
 
 def compare(a, b):
     """Trichotomous order on notations: -1, 0 or 1.  The first pair of
-    summands that are not one object decides, by their labels when both
-    have one (_cmp_term's first test, inlined on this hot path)."""
+    summands that are not one object decides, by their labels."""
     if a is b:
         return 0
     for s, t in zip(a.terms, b.terms):
         if s is not t:
-            if s.label is None or t.label is None:
-                c = _cmp_term(s, t)
-                if c != 0:
-                    return c
-            else:
-                return -1 if s.label < t.label else 1
+            return -1 if s.label < t.label else 1
     if len(a.terms) == len(b.terms):
         return 0
     return -1 if len(a.terms) < len(b.terms) else 1
@@ -285,22 +269,6 @@ ZERO._code = 0
 _BY_CODE[0] = ZERO
 
 
-def is_normal_form(a):
-    """Validator used by the test suite after every operation."""
-    if not isinstance(a, Ordinal):
-        return False
-    for i, t in enumerate(a.terms):
-        if not isinstance(t, VeblenTerm):
-            return False
-        if not (is_normal_form(t.index) and is_normal_form(t.argument)):
-            return False
-        if _fixed_point(t.index, t.argument):
-            return False
-        if i + 1 < len(a.terms) and _cmp_term(t, a.terms[i + 1]) < 0:
-            return False  # summands must be non-increasing
-    return True
-
-
 def add(a, b):
     """Ordinal sum.  Trailing summands of a below b's head are absorbed."""
     return add_all((a, b)) if b.terms else a
@@ -314,7 +282,7 @@ def add_all(parts):
         if b.terms:
             head = b.terms[0]
             i = len(terms)
-            while i > 0 and _cmp_term(terms[i - 1], head) < 0:
+            while i > 0 and terms[i - 1].label < head.label:
                 i -= 1
             del terms[i:]
             terms += b.terms
@@ -324,13 +292,10 @@ def add_all(parts):
 def left_subtract(a, b):
     """The unique c with a + c = b; UndefinedError when a > b."""
     for i, s in enumerate(a.terms):
-        if i >= len(b.terms):
+        if i >= len(b.terms) or s.label > b.terms[i].label:
             raise UndefinedError("left difference undefined: minuend is smaller")
-        c = _cmp_term(s, b.terms[i])
-        if c < 0:
+        if s is not b.terms[i]:
             return Ordinal(b.terms[i:])
-        if c > 0:
-            raise UndefinedError("left difference undefined: minuend is smaller")
     return Ordinal(b.terms[len(a.terms):])
 
 
@@ -444,8 +409,7 @@ def godel_code(a, max_bits=None):
                 t._code = _pair(godel_code(t.index, max_bits), godel_code(t.argument, max_bits))
             code = _check_bits(_pair(t._code, code) + 1, max_bits)
         a._code = code
-        if a._normal:
-            _BY_CODE[code] = a
+        _BY_CODE[code] = a
     return _check_bits(code, max_bits)
 
 
@@ -470,10 +434,9 @@ def _decode(n):
 
     Summands are peeled off n until the rest of the code resolves through the
     code index, so a live sub-notation is never decoded or checked again, and
-    only the whole notation is built and indexed.  The index and argument of
-    each new summand are normal forms, so the summand is labelled exactly
-    when its argument is no fixed point of phi_index, and labels order the
-    summands."""
+    only the whole notation is built and indexed.  VeblenTerm refuses a
+    summand whose argument is a fixed point of phi_index, and labels order
+    the summands."""
     node = _BY_CODE.get(n)
     heads, rest = [], n
     while node is None:
@@ -482,8 +445,9 @@ def _decode(n):
         index, argument = _decode(i), _decode(b)
         if index is None or argument is None:
             return None
-        head = VeblenTerm(index, argument)
-        if head.label is None:
+        try:
+            head = VeblenTerm(index, argument)
+        except InvalidCodeError:
             return None  # argument is a fixed point of phi_index
         if heads and heads[-1].label < head.label:
             return None  # summands must be non-increasing

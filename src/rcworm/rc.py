@@ -539,7 +539,9 @@ class _Extractor:
       P(x, y, t): x embeds t = <b>G, and (x, y) admits an index above b;
           adds t to y's body.  Seed: ax-pair at x appends <c>(body(y) & t),
           which y stands for from then on.  Transitivity through w: P(x, w,
-          t), P(w, y, t).  Pairing from u: E(u, x, t, t), P(u, y, t).
+          t), P(w, y, t).  P never pairs: x is always a proper ancestor of
+          y, since E asks P from the lowest common ancestor of its nodes,
+          and transitivity splits a tree path into two tree paths.
 
     The reason does not depend on the rank asked for.  If (x, y) admits r
     (y in Q_r(x), _holds), then y is a child of x (a seed); or a deeper
@@ -622,13 +624,11 @@ class _Extractor:
     def lemma_p(self, x, y, t):
         if self.embedding(self.body[y], t):
             return ()
-        w, paired = self.reason(x, y)
+        w = self.reason(x, y)[0]
         if w is None:
             self.pair(x, y, t)
             return ()
-        if not paired:
-            return [(self.lemma_p, (x, w, t)), (self.lemma_p, (w, y, t))]
-        return [(self.lemma_e, (w, x, t, t)), (self.lemma_p, (w, y, t))]
+        return [(self.lemma_p, (x, w, t)), (self.lemma_p, (w, y, t))]
 
     def add(self, x, t, proof):
         """Append t to x's conjuncts (proof: body(x) |- t) and record the

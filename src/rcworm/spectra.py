@@ -209,18 +209,19 @@ def fgh_class_label(t):
 # ------------------------------------------------------ fast-growing values
 
 _BIT_CAP = 21
+FGH_STEPS = 20_000
 
 
-def fgh_eval(alpha, x, guard=20000):
+def fgh_eval(alpha, x):
     """Literal evaluation of the fast-growing function at index alpha.
 
     F(alpha, x) is the maximum of the height-x tower of 2s at x, plus one,
     and every F(beta, .) iterated up to x times on arguments up to x, plus
     one, where beta runs over notations coded below x that sit below alpha.
-    Any intermediate beyond 2^21 bits or past the step guard raises
+    Any intermediate beyond 2^21 bits or past FGH_STEPS steps raises
     BudgetExceededError; safe inputs are x <= 2 at index 0 and x <= 1 above.
     """
-    budget = [guard]
+    budget = [FGH_STEPS]
     memo = {}
 
     def spend():

@@ -341,16 +341,35 @@ def _require_delta0_sentence(f):
 # ----------------------------------------------------------------- semantics
 
 
+_SHAPE = ("a structure is a JSON object mapping each predicate "
+          "to a list of naturals or non-empty lists of naturals")
+
+
 class FiniteStructure:
     """Finitely supported interpretations for the extra predicates; any query
-    outside the listed support answers false."""
+    outside the listed support answers false.  preds maps each predicate to
+    its members: naturals, or non-empty lists or tuples of naturals for
+    higher arity.  Anything else, a boolean included, is a ParseError."""
 
-    def __init__(self, preds=None):
+    def __init__(self, preds):
+        if not isinstance(preds, dict):
+            raise ParseError(_SHAPE)
         table = {}
-        for name, rows in (preds or {}).items():
-            table[name] = frozenset(
-                (r,) if isinstance(r, int) else tuple(r) for r in rows
-            )
+        for name, rows in preds.items():
+            if not isinstance(rows, (list, tuple, set, frozenset)):
+                raise ParseError(_SHAPE)
+            members = set()
+            for r in rows:
+                if type(r) is int and r >= 0:  # a bool is no natural
+                    members.add((r,))
+                elif type(r) in (list, tuple) and r:
+                    for x in r:
+                        if type(x) is not int or x < 0:
+                            raise ParseError(_SHAPE)
+                    members.add(tuple(r))
+                else:
+                    raise ParseError(_SHAPE)
+            table[name] = frozenset(members)
         self.preds = table
 
     def holds(self, pred, values):
@@ -365,30 +384,15 @@ class FiniteStructure:
 
 
 def load_structure(source):
-    """Structure from a JSON map predicate -> list of members (naturals, or
-    tuples as non-empty lists of naturals for higher arity).  Anything else,
-    a boolean included, is a ParseError."""
-    if isinstance(source, str):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except ValueError as e:  # not UTF-8, not JSON, or a NUL in the path
-            raise ParseError("structure file %s: %s" % (source, e)) from None
-    else:
-        data = source
-    if isinstance(data, dict) and all(type(rows) is list and all(map(_member, rows))
-                                      for rows in data.values()):
-        return FiniteStructure(data)
-    raise ParseError("a structure is a JSON object mapping each predicate "
-                     "to a list of naturals or non-empty lists of naturals")
-
-
-def _natural(x):
-    return type(x) is int and x >= 0  # a bool is no natural
-
-
-def _member(r):
-    return _natural(r) or type(r) is list and r != [] and all(map(_natural, r))
+    """Structure from a JSON file name, or from its data already read."""
+    if not isinstance(source, str):
+        return FiniteStructure(source)
+    try:
+        with open(source, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as e:  # not UTF-8, not JSON, or a NUL in the path
+        raise ParseError("structure file %s: %s" % (source, e)) from None
+    return FiniteStructure(data)
 
 
 def eval_term(t):

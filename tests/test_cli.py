@@ -599,6 +599,25 @@ def test_json_rc_certificate(capsys):
     assert isinstance(payload["result"]["certificate"], list)
 
 
+
+def test_json_rc_certificate_of_an_underivable_sequent(capsys):
+    assert run(capsys, "rc", "derives", "<0>p", "<1>p", "--certificate") == (0, "false")
+    code, payload = run_json(capsys, "rc", "derives", "<0>p", "<1>p", "--certificate")
+    assert code == 0 and payload["ok"] is True
+    assert payload["result"] == {"derives": False, "certificate": None}
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["truth", "eval", "all x . x = x"], "unbounded quantifier in a bounded-only context"),
+    (["truth", "build-ef", "ex y . y = 0"], "unbounded quantifier in a bounded-only context"),
+    (["truth", "eval", "x = 0"], "free variables: x"),
+])
+def test_truth_commands_refuse_what_is_no_delta0_sentence(capsys, argv, why):
+    assert run(capsys, *argv) == (1, "error: " + why)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1 and payload["ok"] is False and payload["error"] == why
+
+
 # ---------------------------------------------------------------- fixtures
 
 

@@ -6,10 +6,12 @@ before the implementation existed, then frozen.
 
 import copy
 import gc
+import inspect
 import operator
 import pickle
 import random
-from functools import cmp_to_key
+import sys
+from functools import cache, cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,6 @@ from rcworm.ordinal import (
     godel_code,
     godel_decode,
     is_limit,
-    is_normal_form,
     is_successor,
     left_subtract,
     omega_power,
@@ -187,19 +188,68 @@ def test_code_cap_is_exact(a):
 
 
 def reference_decode(n):
-    """godel_decode as first written: decode the whole structure, then
-    validate the whole tree; None where that refuses n."""
-    a = raw_decode(n)
-    return a if is_normal_form(a) else None
+    """godel_decode from the definitions alone: unpair n into nested tuples,
+    check the normal-form conditions on the tuples, and build only what
+    passes through phi and add; None where that refuses n."""
+    x = unpair_code(n)
+    return built(x) if tuple_normal(x) else None
 
 
-def raw_decode(n):
+def unpair_code(n):
+    """Code n as a tuple of (index, argument) summands, each a tuple again,
+    by the pairing of the module docstring, with no notation built."""
     terms = []
     while n:
         u, n = ordinal._unpair(n - 1)
         i, b = ordinal._unpair(u)
-        terms.append(VeblenTerm(raw_decode(i), raw_decode(b)))
-    return Ordinal(terms)
+        terms.append((unpair_code(i), unpair_code(b)))
+    return tuple(terms)
+
+
+def tuple_cmp(x, y):
+    """The Veblen order on tuple notations whose parts are normal forms."""
+    for s, t in zip(x, y):
+        c = tuple_cmp_term(s, t)
+        if c:
+            return c
+    return (len(x) > len(y)) - (len(x) < len(y))
+
+
+def tuple_cmp_term(s, t):
+    (a1, b1), (a2, b2) = s, t
+    c = tuple_cmp(a1, a2)
+    if c == 0:
+        return tuple_cmp(b1, b2)
+    if c < 0:
+        return tuple_cmp(b1, (t,))
+    return -tuple_cmp(b2, (s,))
+
+
+def tuple_fixed_point(a, b):
+    """Whether b is a fixed point of phi_a: one summand with a larger index."""
+    return len(b) == 1 and tuple_cmp(b[0][0], a) > 0
+
+
+@cache
+def tuple_normal(x):
+    """Whether every index and argument is a normal form, no argument is a
+    fixed point of its phi_index, and the summands do not increase."""
+    if not all(tuple_normal(a) and tuple_normal(b) and not tuple_fixed_point(a, b) for a, b in x):
+        return False
+    return all(tuple_cmp_term(s, t) >= 0 for s, t in zip(x, x[1:]))
+
+
+def built(x):
+    """The notation of an accepted tuple, through phi and add."""
+    out = ZERO
+    for a, b in x:
+        out = add(out, phi(built(a), built(b)))
+    return out
+
+
+def spelled(x):
+    """x spelled summand by summand through the constructors."""
+    return Ordinal(VeblenTerm(spelled(a), spelled(b)) for a, b in x)
 
 
 def raw_code(terms):
@@ -286,15 +336,6 @@ def test_decoding_onto_a_live_tail_builds_one_notation():
     assert table_sizes()[:3] == (terms, notations + 1, codes + 1)
 
 
-def test_coding_a_non_normal_notation_does_not_index_it():
-    # raw_decode(6) is the increasing sum 1 + eps0: its code is 6, and 6
-    # still decodes to nothing
-    a = raw_decode(6)
-    assert godel_code(a) == 6
-    with pytest.raises(InvalidCodeError):
-        godel_decode(6)
-
-
 def table_sizes():
     """Interned terms, interned notations, indexed codes, labelled terms."""
     enabled = gc.isenabled()
@@ -353,14 +394,12 @@ def test_intern_tables_hold_nodes_weakly():
 
 def test_decoding_known_codes_builds_and_checks_nothing(monkeypatch):
     # A code whose notation is alive resolves through the code index: the
-    # second pass unpairs nothing and builds no node, and neither pass runs
-    # a whole-tree normal-form check.
+    # second pass unpairs nothing and builds no node.
     rng = random.Random(29)
     codes = [godel_code(rand_normal_form(rng)) for _ in range(100)]
     unpaired = []
     unpair = ordinal._unpair
     monkeypatch.setattr(ordinal, "_unpair", lambda z: unpaired.append(z) or unpair(z))
-    monkeypatch.setattr(ordinal, "is_normal_form", None)
     first = [godel_decode(n) for n in codes]
     assert unpaired
     gc.collect()
@@ -383,7 +422,8 @@ def test_rich_comparisons_refuse_foreign_operands():
 
 @given(ordinals())
 def test_constructors_yield_normal_forms(a):
-    assert is_normal_form(a)
+    x = unpair_code(godel_code(a))
+    assert tuple_normal(x) and built(x) is a
 
 
 @given(ordinals(), ordinals())
@@ -420,6 +460,24 @@ def rebuilt(a):
     return Ordinal(VeblenTerm(rebuilt(t.index), rebuilt(t.argument)) for t in a.terms)
 
 
+def lines_run(fn, code):
+    """The line numbers of code that ran while fn ran."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        fn()
+    finally:
+        sys.settrace(old)
+    return seen
+
+
 def test_compare_matches_reference():
     rng = random.Random(5)
     pairs = []
@@ -429,18 +487,27 @@ def test_compare_matches_reference():
         # head summands tie when a is a single epsilon-or-higher term
         pairs += [(a, b), (a, a), (a, rebuilt(a)), (add(a, b), a),
                   (omega_power(add(a, b)), a)]
-    # non-normal pairs whose heads tie below a swap: phi(j, x) is spelled
-    # with its fixed point x, so phi(i, x + k) against it reaches x against
-    # x, e.g. phi(2, X+1)+w+X against phi(3, X)+eps(1) with X = phi(eps0, 0)
-    for x in (phi(EPS0, ZERO), phi(OMEGA, ONE), phi(EPS0, OMEGA)):
-        for i, j in ((0, 1), (2, 3), (1, 4)):
-            fixed = Ordinal((VeblenTerm(from_int(j), x),) + phi(ONE, ONE).terms)
-            for k in (0, 1):
-                head = phi(from_int(i), add(x, from_int(k)))
-                pairs += [(Ordinal(head.terms + OMEGA.terms + x.terms), fixed), (head, fixed)]
+    # phi(i, x + 1) for a live fixed point x of phi_i is placed by a search
+    # that meets x as the head of the new term's argument: that descent ends
+    # on a tie, which the extra summand of x + 1 breaks (w^(x+1) lies right
+    # above x, so its search probes x itself)
+    gc.collect()
+    xs = [phi(add(EPS0, from_int(9)), from_int(7)), phi(from_int(5), add(OMEGA, from_int(8))),
+          phi(omega_power(from_int(6)), OMEGA)]
+
+    def place():
+        for x in xs:
+            for i in range(3):
+                head = phi(from_int(i), add(x, ONE))
+                pairs.extend([(head, x), (add(head, x), head), (add(head, OMEGA), add(head, x))])
+
+    source, start = inspect.getsourcelines(ordinal._cmp_term)
+    tie = start + max(i for i, line in enumerate(source) if line.strip() == "return tie")
+    assert tie in lines_run(place, ordinal._cmp_term.__code__)
     for a, b in pairs:
         want = reference_compare(a, b)
         assert compare(a, b) == want and compare(b, a) == -want, (a, b)
+    check_labels()
 
 
 @settings(max_examples=60)
@@ -492,9 +559,18 @@ def check_labels():
     """Every entry of the label list is a live term carrying the entry's
     label, labels strictly increase along the list, and neighbours increase
     in value by the reference comparison."""
-    refs = list(ordinal._LABELLED)
+    enabled = gc.isenabled()
+    gc.disable()  # a collection runs weakref callbacks, which delete entries
+    try:
+        refs = list(ordinal._LABELLED)
+        live = [r() for r in list(hashcons._TABLE.values())]
+    finally:
+        if enabled:
+            gc.enable()
     terms = [r() for r in refs]
-    assert all(t is not None and t.label == r.label for r, t in zip(refs, terms))
+    # every live term is in the list, so every one has an int label
+    assert len(terms) == sum(type(t) is VeblenTerm for t in live)
+    assert all(t is not None and type(t.label) is int and t.label == r.label for r, t in zip(refs, terms))
     assert all(r.label < q.label for r, q in zip(refs, refs[1:]))
     for s, t in zip(terms, terms[1:]):
         assert reference_cmp_term(s, t) < 0, (s, t)
@@ -536,20 +612,45 @@ def test_labels_survive_forced_relabelling(monkeypatch):
     assert len(relabels) > 50
 
 
-def test_terms_with_non_normal_parts_stay_unlabelled():
-    rng = random.Random(71)
-    raws = [raw_decode(n) for n in rng.sample(range(20_000), 600)]
-    raws = [a for a in raws if not is_normal_form(a)]
-    fixed = VeblenTerm(ZERO, EPS0)  # phi(0, eps0) = eps0, spelled with a fixed point
-    raws.append(Ordinal((fixed, ONE.terms[0])))
-    terms = {t for a in raws for t in a.terms}
-    assert fixed.label is None and sum(t.label is None for t in terms) > 30
-    for t in terms:
-        assert (t.label is None) == (not is_normal_form(Ordinal((t,))))
-    notations = raws + [rand_ordinal(rng, 3) for _ in range(300)] + [EPS0, add(EPS0, ONE)]
-    for a in notations:
-        for b in rng.sample(notations, 40) + [EPS0, add(EPS0, ONE)]:
-            assert compare(a, b) == reference_compare(a, b), (a, b)
+def refusal(x):
+    """For a tuple notation the reference rejects: a call that builds its
+    innermost refused node from parts already built and kept alive."""
+    for a, b in x:
+        for part in (a, b):
+            if not tuple_normal(part):
+                return refusal(part)
+    parts = [(built(a), built(b)) for a, b in x]
+    for (a, b), pair in zip(x, parts):
+        if tuple_fixed_point(a, b):
+            return lambda: VeblenTerm(*pair)
+    terms = [VeblenTerm(*pair) for pair in parts]
+    return lambda: Ordinal(terms)
+
+
+def test_constructors_refuse_every_non_normal_spelling_and_keep_nothing():
+    refused = 0
+    for n in range(20_000):
+        x = unpair_code(n)
+        if tuple_normal(x):
+            continue
+        refused += 1
+        with pytest.raises(InvalidCodeError):
+            spelled(x)
+        build = refusal(x)
+        enabled = gc.isenabled()
+        gc.disable()  # a collection runs weakref callbacks, which delete entries
+        try:
+            sizes = len(hashcons._TABLE), len(ordinal._LABELLED), len(ordinal._BY_CODE)
+            with pytest.raises(InvalidCodeError) as info:
+                build()
+            # info's traceback keeps the refused node alive, so were it stored
+            # anywhere, its entry would still be there
+            assert (len(hashcons._TABLE), len(ordinal._LABELLED), len(ordinal._BY_CODE)) == sizes, n
+            del info
+        finally:
+            if enabled:
+                gc.enable()
+    assert 0 < refused < 20_000
     check_labels()
 
 
@@ -560,7 +661,7 @@ def test_sorting_decoded_notations_needs_no_structural_comparison(monkeypatch):
     assert len(notations) == 2069
     calls = []
     cmp_term = ordinal._cmp_term
-    monkeypatch.setattr(ordinal, "_cmp_term", lambda s, t: calls.append((s, t)) or cmp_term(s, t))
+    monkeypatch.setattr(ordinal, "_cmp_term", lambda *args: calls.append(args) or cmp_term(*args))
     notations.sort(key=cmp_to_key(compare))
     for i, small in enumerate(notations):
         for large in notations[i + 1:]:

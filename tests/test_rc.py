@@ -936,6 +936,34 @@ def assert_certified(lhs, rhs):
     return d
 
 
+def test_p_is_only_asked_on_a_tree_path(monkeypatch):
+    # _Extractor.lemma_p has no pairing case: E asks P from the lowest common
+    # ancestor of its nodes, and P's transitivity splits a tree path into two
+    # tree paths, so x is always a proper ancestor of y
+    from test_acceptance import _formula_corpus
+
+    asked = []
+    lemma_p = rc._Extractor.lemma_p
+
+    def traced(self, x, y, t):
+        w = y
+        while w > x:  # ancestors are numbered lower
+            w = self.parent[w]
+        asked.append(w == x != y)
+        return lemma_p(self, x, y, t)
+
+    monkeypatch.setattr(rc._Extractor, "lemma_p", traced)
+    corpus = _formula_corpus(4, [ZERO, ONE])
+    pairs = [(lhs, rhs) for lhs in corpus for rhs in corpus]
+    rng = random.Random(2037)
+    pool = transfinite_pool(rng, 5)
+    for _ in range(1500):
+        lhs = rand_formula(rng, rng.randint(2, 14), pool)
+        pairs += [(lhs, rand_formula(rng, rng.randint(2, 5), pool)) for _ in range(2)]
+    certified = sum(assert_certified(lhs, rhs) is not None for lhs, rhs in pairs)
+    assert certified > 1000 and len(asked) > 300 and all(asked), (certified, len(asked))
+
+
 def test_every_derivable_pair_gets_a_certificate():
     rng = random.Random(2034)
     indices = [from_int(k) for k in range(4)] + [OMEGA, add(OMEGA, ONE)]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ordinals
+from rcworm import spectra
 from rcworm.errors import (
     BudgetExceededError,
     OutOfApplicabilityError,
@@ -354,12 +355,14 @@ def test_fgh_budget_exhaustion_is_honest():
     with pytest.raises(BudgetExceededError):
         fgh_eval(ONE, 2)
     with pytest.raises(BudgetExceededError):
-        fgh_eval(OMEGA, 2, guard=100000)
+        fgh_eval(OMEGA, 2)
 
 
-def test_fgh_guard_is_respected():
+def test_fgh_guard_is_respected(monkeypatch):
+    assert fgh_eval(ZERO, 2) == 17
+    monkeypatch.setattr(spectra, "FGH_STEPS", 1)
     with pytest.raises(BudgetExceededError):
-        fgh_eval(ZERO, 2, guard=1)
+        fgh_eval(ZERO, 2)
 
 
 @settings(max_examples=20, deadline=None)
