@@ -893,7 +893,8 @@ def test_main_fuzz_on_deep_nesting(argv, as_json):
 
 def _assert_exits_0_1_or_2_in_time(argv, as_json):
     if as_json:
-        argv.append("--json")
+        # before any "--" the argument soup holds, after which "--json" is a positional
+        argv.insert(argv.index("--") if "--" in argv else len(argv), "--json")
     out = io.StringIO()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)  # hypothesis raises it during a test

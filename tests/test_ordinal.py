@@ -336,6 +336,20 @@ def test_decoding_onto_a_live_tail_builds_one_notation():
     assert table_sizes()[:3] == (terms, notations + 1, codes + 1)
 
 
+def test_coding_a_non_normal_notation_does_not_index_it():
+    # code 6 spells the increasing sum 1 + eps0: the constructors refuse
+    # that spelling, so no notation codes to 6 and 6 decodes to nothing
+    x = unpair_code(6)
+    assert raw_code([ONE.terms[0], EPS0.terms[0]]) == 6 and not tuple_normal(x)
+    with pytest.raises(InvalidCodeError):
+        spelled(x)
+    assert 6 not in ordinal._BY_CODE
+    with pytest.raises(InvalidCodeError):
+        godel_decode(6)
+    assert 6 not in ordinal._BY_CODE
+    assert add(ONE, EPS0) is EPS0 and godel_code(EPS0) != 6
+
+
 def table_sizes():
     """Interned terms, interned notations, indexed codes, labelled terms."""
     enabled = gc.isenabled()
@@ -610,6 +624,30 @@ def test_labels_survive_forced_relabelling(monkeypatch):
     monkeypatch.setattr(ordinal, "_relabel", lambda: relabels.append(1) or relabel())
     churn(67)
     assert len(relabels) > 50
+
+
+def test_terms_with_non_normal_parts_stay_unlabelled():
+    # a summand is built, and labelled, exactly when it is a normal form;
+    # one with a non-normal part or a fixed-point argument is refused
+    rng = random.Random(71)
+    raws = [x for x in map(unpair_code, rng.sample(range(20_000), 600)) if not tuple_normal(x)]
+    fixed = ((), unpair_code(godel_code(EPS0)))  # phi(0, eps0) = eps0, spelled with a fixed point
+    assert tuple_fixed_point(*fixed) and not tuple_normal((fixed,))
+    raws.append((fixed, ((), ())))
+    summands = {s for x in raws for s in x}
+    assert sum(not tuple_normal((s,)) for s in summands) > 30
+    for a, b in summands:
+        if tuple_normal(((a, b),)):
+            t = VeblenTerm(spelled(a), spelled(b))
+            assert type(t.label) is int and Ordinal((t,)) is built(((a, b),))
+        else:
+            with pytest.raises(InvalidCodeError):
+                VeblenTerm(spelled(a), spelled(b))
+    notations = [rand_ordinal(rng, 3) for _ in range(300)] + [EPS0, add(EPS0, ONE)]
+    for a in notations:
+        for b in rng.sample(notations, 40) + [EPS0, add(EPS0, ONE)]:
+            assert compare(a, b) == reference_compare(a, b), (a, b)
+    check_labels()
 
 
 def refusal(x):
