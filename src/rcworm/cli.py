@@ -55,13 +55,8 @@ def _cmd_ord_cnf(args):
     return ", ".join(exps) if exps else "(empty sum)", exps
 
 
-# Longest Godel code `ord code` prints: 14000 bits is at most 4215 decimal
-# digits, inside Python's default limit of 4300 on int-to-str conversion.
-CODE_BIT_CAP = 14000
-
-
 def _cmd_ord_code(args):
-    n = godel_code(parse_ordinal(args.a), max_bits=CODE_BIT_CAP)
+    n = godel_code(parse_ordinal(args.a))
     return str(n), n
 
 

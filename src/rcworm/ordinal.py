@@ -24,7 +24,7 @@ such number is 6 (it decodes to the increasing term list [1, eps0]).
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cmp_to_key
+from functools import total_ordering
 import gc
 from math import inf, isqrt
 from operator import attrgetter
@@ -47,6 +47,10 @@ refused with OrdinalOverflowError before anything is allocated.  The cap
 sits far above every literal the tests and fixtures use (the largest is
 1000)."""
 
+CODE_BIT_CAP = 14000
+"""Most bits a Godel code may have: 14000 bits is at most 4215 decimal
+digits, inside Python's default limit of 4300 on int-to-str conversion."""
+
 
 # Terms and notations are hashcons.Node's: building a node whose fields equal
 # a live node's returns that node.  Every notation has one normal form, so
@@ -62,7 +66,8 @@ sits far above every literal the tests and fixtures use (the largest is
 # takes the midpoint of its neighbours' labels, and the whole list is
 # relabelled evenly only when no gap is left.  A dead term is dropped by
 # bisecting on the label its weak reference carries.  Two distinct terms never
-# tie, so compare decides two summands by one label comparison.
+# tie, so a term's < is one label comparison, and a notation's terms tuple
+# orders exactly as the notation does.
 
 _BY_CODE = weakref.WeakValueDictionary()  # Godel code -> normal-form Ordinal
 _LABELLED = []  # _LabelRef to each labelled term, by increasing label
@@ -149,15 +154,20 @@ class VeblenTerm(_TermCaches):
         self._code = self.label = None
         _label(self)
 
+    def __lt__(self, other):
+        return self.label < other.label
+
 
 class _OrdinalCaches(Node):
     __slots__ = ("_code",)
 
 
+@total_ordering
 class Ordinal(_OrdinalCaches):
     """A notation: tuple of VeblenTerm summands, largest first.  () is 0.
     `_code` caches its Godel code once computed.  InvalidCodeError when a
-    summand is larger than the one before it."""
+    summand is larger than the one before it.  Notations order as their
+    terms tuples do."""
 
     __slots__ = ("terms",)
 
@@ -178,22 +188,7 @@ class Ordinal(_OrdinalCaches):
     def __lt__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return compare(self, other) < 0
-
-    def __le__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return compare(self, other) <= 0
-
-    def __gt__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return compare(self, other) > 0
-
-    def __ge__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return compare(self, other) >= 0
+        return self.terms < other.terms
 
     def __repr__(self):
         from .syntax import render  # cycle only at repr time
@@ -242,22 +237,15 @@ def _cmp_term(s, t, low, high):
 
 
 def compare(a, b):
-    """Trichotomous order on notations: -1, 0 or 1.  The first pair of
-    summands that are not one object decides, by their labels."""
-    if a is b:
-        return 0
-    for s, t in zip(a.terms, b.terms):
-        if s is not t:
-            return -1 if s.label < t.label else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
+    """Trichotomous order on notations: -1, 0 or 1.  Equal notations are one
+    object, and distinct ones order as their terms tuples."""
+    return 0 if a is b else (-1 if a.terms < b.terms else 1)
 
 
 def ranks(xs):
     """Each distinct notation of xs -> its place 1, 2, ... in the ordinal order
     (notations are interned, so equal notations are one key)."""
-    return {x: i for i, x in enumerate(sorted(set(xs), key=cmp_to_key(compare)), 1)}
+    return {x: i for i, x in enumerate(sorted(set(xs), key=attrgetter("terms")), 1)}
 
 
 ZERO = Ordinal()
@@ -337,20 +325,14 @@ def cnf_exponents(a):
     A summand phi(0, b) contributes b; a summand with index >= 1 is its own
     base-w exponent (it is an epsilon-or-higher fixed point).
     """
-    out = []
-    for t in a.terms:
-        if t.index.is_zero():
-            out.append(t.argument)
-        else:
-            out.append(Ordinal((t,)))
-    return out
+    return [t.argument if t.index.is_zero() else Ordinal((t,)) for t in a.terms]
 
 
 def from_int(n):
     if n < 0:
         raise UndefinedError("no negative ordinals")
     check_summands(n)
-    return Ordinal((ONE.terms[0],) * n)
+    return Ordinal((_UNIT,) * n)
 
 
 def check_summands(n):
@@ -363,11 +345,10 @@ def check_summands(n):
 
 
 def to_int(a):
-    """The natural a denotes, or None if a is infinite."""
-    for t in a.terms:
-        if t is not _UNIT:
-            return None
-    return len(a.terms)
+    """The natural a denotes, or None if a is infinite.  phi(0, 0) is the
+    least summand and summands never increase, so a is finite exactly when
+    its head is phi(0, 0)."""
+    return len(a.terms) if not a.terms or a.terms[0] is _UNIT else None
 
 
 def is_successor(a):
@@ -395,27 +376,27 @@ def _unpair(z):
     return s - y, y
 
 
-def godel_code(a, max_bits=None):
+def godel_code(a):
     """The Cantor-pairing code of a, computed once per node and cached.
 
-    With max_bits, BudgetExceededError as soon as a partial code is longer:
-    pairing never makes a code smaller than its parts, so the whole code
-    would be longer too.  A cached code is held to max_bits as well."""
+    BudgetExceededError as soon as a partial code has more than CODE_BIT_CAP
+    bits: pairing never makes a code smaller than its parts, so the whole
+    code would be longer too.  A cached code is held to the cap as well."""
     code = a._code
     if code is None:
         code = 0
         for t in reversed(a.terms):
             if t._code is None:
-                t._code = _pair(godel_code(t.index, max_bits), godel_code(t.argument, max_bits))
-            code = _check_bits(_pair(t._code, code) + 1, max_bits)
+                t._code = _pair(godel_code(t.index), godel_code(t.argument))
+            code = _check_bits(_pair(t._code, code) + 1)
         a._code = code
         _BY_CODE[code] = a
-    return _check_bits(code, max_bits)
+    return _check_bits(code)
 
 
-def _check_bits(code, max_bits):
-    if max_bits is not None and code.bit_length() > max_bits:
-        raise BudgetExceededError("the Godel code has more than %d bits" % max_bits)
+def _check_bits(code):
+    if code.bit_length() > CODE_BIT_CAP:
+        raise BudgetExceededError("the Godel code has more than %d bits" % CODE_BIT_CAP)
     return code
 
 

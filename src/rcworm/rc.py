@@ -797,7 +797,8 @@ def word_normal_form(f):
     """The worm equivalent to a variable-free formula: the merge_words fold
     when it has the order type of the exact word of _conj_words (and so is
     equivalent to it), else the exact word.  BudgetExceededError only when
-    an order type it needs is of a worm past worm.MAX_DISTINCT_LETTERS."""
+    an order type it needs is of a worm past worm.MAX_DISTINCT_LETTERS
+    distinct letters, or with a gap between letters of more summands."""
     merged, exact = _words(f)
     if merged != exact and compare(order_type(Worm(merged)), order_type(Worm(exact))):
         return Worm(exact)

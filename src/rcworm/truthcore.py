@@ -211,15 +211,9 @@ def atom_le(a, b):
 # -------------------------------------------------------- structural helpers
 
 
-def free_vars(node, acc=None):
-    """The variables free in a term or formula: a new set, or acc updated."""
-    if acc is None:
-        return set(node.fv)
-    acc |= node.fv
-    return acc
-
-
-term_vars = free_vars
+def free_vars(node):
+    """The variables free in a term or formula, as a new set."""
+    return set(node.fv)
 
 
 def is_delta0(f):

@@ -61,11 +61,12 @@ class Worm:
 
 EMPTY = Worm()
 
-# An order type nests about one Veblen level per distinct letter.  Ordinal
-# comparison follows that nesting in a loop, so the cap bounds time and output,
-# not the stack: near it most of the time is _fold's paper_phi chain, and past
-# it an order type prints deeper than syntax.MAX_NESTING.  Worms with more
-# distinct letters than this are refused before any ordinal arithmetic.
+# An order type nests about one Veblen level per distinct letter, and _fold's
+# row-0 paper_phi chain nests one more per summand of a gap -b + m between
+# letters.  Worms with more distinct letters than this are refused before any
+# ordinal arithmetic, and a gap with more summands than this before any chain
+# runs; past either, an order type prints deeper than syntax.MAX_NESTING.  The
+# cap bounds that nesting, not time, which also grows with the worm's length.
 MAX_DISTINCT_LETTERS = 300
 
 
@@ -113,7 +114,8 @@ def _fold(letters, base):
     Blocks are index ranges, expanded from a stack in preorder (Ck first
     after its parent) and folded in reverse, so the values of a block's
     children top `values`, Ck's topmost.  Past MAX_DISTINCT_LETTERS distinct
-    letters this raises BudgetExceededError.
+    letters, or when some -b + m has more summands than that, this raises
+    BudgetExceededError before the fold runs.
     """
     if len(set(letters)) > MAX_DISTINCT_LETTERS:
         raise BudgetExceededError(
@@ -131,7 +133,12 @@ def _fold(letters, base):
         least = min(block)
         cuts = [i for i, r in enumerate(block, lo) if r == least]
         m = letters[cuts[0]]
-        steps.append((b, m, len(cuts)))
+        d = left_subtract(b, m)
+        if len(d.terms) > MAX_DISTINCT_LETTERS:
+            raise BudgetExceededError(
+                "a gap between worm letters has more than %d summands" % MAX_DISTINCT_LETTERS
+            )
+        steps.append((d, len(cuts)))
         up = add(m, ONE) if cuts[-1] - lo >= len(cuts) else None  # some Cj, j < k, is not empty
         for cut in cuts:
             todo.append((lo, cut, up))
@@ -142,9 +149,8 @@ def _fold(letters, base):
         if step is None:
             values.append(ZERO)
             continue
-        b, m, k = step
+        d, k = step
         s = add_all([values.pop()] + [omega_power(values.pop()) for _ in range(k)])
-        d = left_subtract(b, m)
         if not d.is_zero():
             s = left_subtract(ONE, s)
             for e in reversed(cnf_exponents(d)):

@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rcworm
 from conftest import DEFAULT_RECURSION_LIMIT, large_pairs, ordinals, rand_delta0, rc_formulas, worms
-from rcworm.cli import CODE_BIT_CAP, main, run_fixture_file
+from rcworm.cli import main, run_fixture_file
 from rcworm import rc
-from rcworm.ordinal import godel_code
+from rcworm.errors import BudgetExceededError
+from rcworm.ordinal import CODE_BIT_CAP, godel_code
 from rcworm.syntax import MAX_NESTING, parse_formula, parse_ordinal, parse_worm, render
 from rcworm.truthcore import TRUTH_CAP, parse_truth_formula, render_formula
 
@@ -313,8 +314,11 @@ def test_ord_code_too_long_to_print(capsys):
 def test_ord_code_cap_holds_for_a_cached_code(capsys):
     tower = "w^w^w^w^w^w^w^w^w"
     a = parse_ordinal(tower)  # alive, so each parse below returns a itself
-    assert godel_code(a).bit_length() == 94179  # cached on a, uncapped
-    for _ in range(2):
+    inner = a.terms[0].argument.terms[0].argument  # w^w^w^w^w^w^w, 5,888 bits
+    assert godel_code(inner).bit_length() == 5888  # cached on a part of a
+    for _ in range(2):  # a refusal caches nothing that lets a later call through
+        with pytest.raises(BudgetExceededError, match=str(CODE_BIT_CAP)):
+            godel_code(a)
         code, out = run(capsys, "ord", "code", tower)
         assert code == 1 and str(CODE_BIT_CAP) in out
 
@@ -324,6 +328,22 @@ def test_worm_o_on_a_long_worm(capsys):
     code, out = run(capsys, "worm", "o", "[%s]" % ",".join(["1,0"] * 1500))
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (0, "w*1500")
+
+
+@pytest.mark.parametrize("n", [20000, 999999])
+@pytest.mark.parametrize("argv", [
+    ("worm", "o", "[{},0]"),
+    ("worm", "o-at", "0", "[{},0]"),
+    ("worm", "cmp-at", "0", "[{},0]", "[1]"),
+    ("spectrum", "ea-ct-isigma-n:{}", "--levels", "0"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_large_finite_gap_between_letters_is_refused_at_once(capsys, argv, n):
+    # at most two distinct letters, but a gap between them has about n
+    # summands, each one more level of _fold's paper_phi chain
+    start = time.perf_counter()
+    code, out = run(capsys, *(x.format(n) for x in argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out.startswith("error:") and "gap" in out
 
 
 def test_worm_o_refuses_a_deep_worm_at_once(capsys):

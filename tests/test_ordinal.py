@@ -11,10 +11,11 @@ import operator
 import pickle
 import random
 import sys
+import time
 from functools import cache, cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from conftest import ordinals, rand_ordinal
 from rcworm import hashcons, ordinal, rc
@@ -26,6 +27,7 @@ from rcworm.errors import (
     UndefinedError,
 )
 from rcworm.ordinal import (
+    CODE_BIT_CAP,
     EPS0,
     MAX_SUMMANDS,
     OMEGA,
@@ -47,6 +49,7 @@ from rcworm.ordinal import (
     paper_phi,
     phi,
     predecessor,
+    ranks,
     to_int,
 )
 from rcworm.syntax import parse_formula, parse_ordinal
@@ -55,6 +58,16 @@ from rcworm.syntax import parse_formula, parse_ordinal
 def test_integer_round_trip():
     for n in range(50):
         assert to_int(from_int(n)) == n
+
+
+def test_to_int_reads_the_head_summand():
+    # a normal form is finite exactly when its head is phi(0, 0), so no
+    # natural or infinite notation is walked summand by summand
+    big = from_int(MAX_SUMMANDS)
+    for a, want in ((big, MAX_SUMMANDS), (ZERO, 0), (add(OMEGA, big), None),
+                    (add(EPS0, from_int(5)), None)):
+        assert to_int(a) == want
+        assert len(lines_run(lambda: to_int(a), to_int.__code__)) <= 2
 
 
 def test_from_int_refuses_above_summand_cap():
@@ -172,19 +185,47 @@ def test_godel_decode_rejects_least_invalid_code():
         godel_decode(n)
 
 
+def code_or_reject(a):
+    """godel_code(a); a draw whose code passes CODE_BIT_CAP is rejected."""
+    try:
+        return godel_code(a)
+    except BudgetExceededError:
+        assume(False)
+
+
 @given(ordinals())
 def test_codes_round_trip(a):
-    assert godel_decode(godel_code(a)) is a
+    assert godel_decode(code_or_reject(a)) is a
 
 
-@given(ordinals())
-def test_code_cap_is_exact(a):
-    # a cap the code meets returns it unchanged; one bit less refuses it
-    n = godel_code(a)
-    assert godel_code(a, max_bits=n.bit_length()) == n
-    if n:
+def w_tower(a, height):
+    for _ in range(height):
+        a = omega_power(a)
+    return a
+
+
+def test_code_cap_is_exact():
+    # code(w^x) grows with code(x), so a tower of four w-powers over the
+    # notation of a 56-bit code has a code of some 14,000 bits; these two
+    # codes land on the cap and one bit past it
+    at, over = (w_tower(godel_decode(n), 4) for n in (57722988874939940, 57944791772021643))
+    n = godel_code(at)
+    assert n.bit_length() == CODE_BIT_CAP and godel_decode(n) is at
+    assert raw_code(over.terms).bit_length() == CODE_BIT_CAP + 1
+    for _ in range(2):  # nothing is cached that lets a second call through
+        with pytest.raises(BudgetExceededError, match=str(CODE_BIT_CAP)):
+            godel_code(over)
+    assert godel_code(at) == n
+
+
+def test_long_codes_are_refused_at_once():
+    # the whole code of 40 would have about 2^39 bits; its partial codes
+    # pass the cap after 15 summands
+    for a in (from_int(40), from_int(MAX_SUMMANDS), w_tower(OMEGA, 9)):
+        start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
-            godel_code(a, max_bits=n.bit_length() - 1)
+            godel_code(a)
+        assert time.perf_counter() - start < 0.1
 
 
 def reference_decode(n):
@@ -436,7 +477,7 @@ def test_rich_comparisons_refuse_foreign_operands():
 
 @given(ordinals())
 def test_constructors_yield_normal_forms(a):
-    x = unpair_code(godel_code(a))
+    x = unpair_code(code_or_reject(a))
     assert tuple_normal(x) and built(x) is a
 
 
@@ -475,12 +516,12 @@ def rebuilt(a):
 
 
 def lines_run(fn, code):
-    """The line numbers of code that ran while fn ran."""
-    seen = set()
+    """The line numbers of code that ran while fn ran, once per run."""
+    seen = []
 
     def local(frame, event, arg):
         if event == "line":
-            seen.add(frame.f_lineno)
+            seen.append(frame.f_lineno)
         return local
 
     old = sys.gettrace()
@@ -501,6 +542,15 @@ def test_compare_matches_reference():
         # head summands tie when a is a single epsilon-or-higher term
         pairs += [(a, b), (a, a), (a, rebuilt(a)), (add(a, b), a),
                   (omega_power(add(a, b)), a)]
+        # a proper prefix against the whole, and equal heads with different
+        # lengths, where the longer notation may be the smaller
+        pairs += [(a, add(a, b)), (Ordinal(a.terms[:-1]), a),
+                  (add(a, from_int(2)), add(a, OMEGA)), (add(a, b), add(a, add(b, ONE)))]
+    # naturals near MAX_SUMMANDS: a prefix of a million equal summands, and a
+    # longer smaller notation decided past a thousand equal summands
+    n = MAX_SUMMANDS - 1000
+    pairs += [(from_int(MAX_SUMMANDS - 1), from_int(MAX_SUMMANDS)),
+              (add(omega_times(from_int(1000)), from_int(n)), omega_times(from_int(1001)))]
     # phi(i, x + 1) for a live fixed point x of phi_i is placed by a search
     # that meets x as the head of the new term's argument: that descent ends
     # on a tie, which the extra summand of x + 1 breaks (w^(x+1) lies right
@@ -521,7 +571,17 @@ def test_compare_matches_reference():
     for a, b in pairs:
         want = reference_compare(a, b)
         assert compare(a, b) == want and compare(b, a) == -want, (a, b)
+        assert (a < b, a <= b, a > b, a >= b) == (want < 0, want <= 0, want > 0, want >= 0)
     check_labels()
+
+
+def test_ranks_match_the_reference_order():
+    rng = random.Random(23)
+    for _ in range(200):
+        xs = [rand_ordinal(rng, 3) for _ in range(rng.randrange(1, 30))]
+        xs += [Ordinal(x.terms[:-1]) for x in xs[:5]] + xs[:3]  # prefixes and repeats
+        order = sorted(set(xs), key=cmp_to_key(reference_compare))
+        assert ranks(xs) == {x: i for i, x in enumerate(order, 1)}
 
 
 @settings(max_examples=60)

@@ -268,3 +268,18 @@ def test_order_type_refuses_too_many_distinct_letters():
         order_type(too_many)
     with pytest.raises(BudgetExceededError):
         compare_at(ONE, too_many, increasing)
+
+
+def test_order_type_refuses_a_gap_of_too_many_summands():
+    # the paper_phi chain of a gap -b + m nests one level per summand, as a
+    # distinct letter does, so a gap is held to the same cap: -1 + 301 has
+    # 300 summands and answers, -1 + 302 is refused before any chain runs
+    n = MAX_DISTINCT_LETTERS
+    at_cap = Worm((from_int(n + 1), ZERO))
+    assert order_type(at_cap) is reference_order_type(at_cap)
+    for v in (Worm((from_int(n + 2), ZERO)), Worm((add(OMEGA, from_int(n)),)),
+              Worm((from_int(10**6), ZERO))):
+        with pytest.raises(BudgetExceededError, match="gap"):
+            order_type(v)
+    with pytest.raises(BudgetExceededError, match="gap"):
+        order_type_at(ONE, Worm((from_int(n + 3), ONE)))
