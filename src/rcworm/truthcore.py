@@ -14,8 +14,10 @@ unbounded.  The bounded fragment is decided three independent ways:
 is_evaluation checks the thirteen local-correctness clauses one by one and
 reports the first offender, so any disagreement between the three routes is
 attributable to a specific clause.  build_evaluation and is_evaluation take
-a bounded quantifier's instances from one plan per quantifier (_instances);
-direct_eval instantiates by subst, independently of the plan.
+a bounded quantifier's instances from its plan (_instances).  The plans are
+made once per quantifier of the parsed sentence and stored on the quantifier
+nodes, so is_evaluation reuses those build_evaluation made.  direct_eval
+instantiates by subst, independently of the plans.
 """
 
 from .errors import BudgetExceededError, NotInFragmentError, ParseError
@@ -60,6 +62,7 @@ def _fill_terms(node):
 
 def _fill_bounded(node):
     node.fv = _union(node.bound.fv, _bind(node.body.fv, node.var))
+    node.plan = None
 
 
 def _fill_unbounded(node):
@@ -184,12 +187,19 @@ class OrF(TaitFormula):
     _fill = _fill_pair
 
 
-class BoundedAll(TaitFormula):
+class _Bounded(TaitFormula):
+    """A bounded quantifier.  `plan` caches the plan its instances are built
+    by (_instances), or is None until one is needed."""
+
+    __slots__ = ("plan",)
+
+
+class BoundedAll(_Bounded):
     __slots__ = ("var", "bound", "body")
     _fill = _fill_bounded
 
 
-class BoundedEx(TaitFormula):
+class BoundedEx(_Bounded):
     __slots__ = ("var", "bound", "body")
     _fill = _fill_bounded
 
@@ -257,52 +267,104 @@ def _pack(*terms):
     return terms
 
 
-def _plan(body, var):
-    """The nodes of body in which var is free, in post-order, as steps
-    (cls, args, holes).  Slot 0 is the numeral put for var and slot k the
-    node of step k.  Step k builds cls(*args) once each of its holes (i, j)
-    has put slot j in args[i]; the other args are the node's own fields.  An
-    atom's terms tuple is a step of its own, of class _pack."""
-    steps = []
+def _plan(q, scope=_NO_VARS):
+    """The plan of bounded quantifier q: (steps, subs, ins).  scope holds the
+    variables of the quantifiers whose plans q's plan is nested in.  With
+    scope not empty, the plan is None if a node it would rebuild binds a
+    variable of scope, or q's own, again: a node such as P(x) may then sit
+    both under and outside the re-binding.
+
+    The steps rebuild, in post-order, the nodes of q's body in which q's
+    variable x is free.  An instance fills a list `built` of slots: first one
+    node for each node of ins, then the numeral put for x, then the node of
+    each step.  A step (cls, args, holes) builds cls(*args) once each of its
+    holes (i, j) has put slot j in args[i]; the other args are the node's own
+    fields.  An atom's terms tuple is a step of its own, of class _pack.
+
+    ins lists the args of steps and subs in which a variable of scope is
+    free, so the plan serves every quantifier that puts numerals for scope's
+    variables in q: the first slots of its instances hold its own versions
+    of ins.  A step may build a quantifier over a variable free in its body
+    whose other free variables are x and those of scope, so that an instance
+    closes it.  Its plan is made here, once, with x added to scope: subs
+    holds (k, steps, subs, pick) for it, and the quantifier built by step k
+    gets (steps, subs, [built[j] for j in pick]) as its plan."""
+    var = q.var
+    inner = scope | {var}
+    steps, subs, ins = [], [], []
     slots = {Var(var): 0}
-    todo = [(body, None, None, None)]
+
+    def slot(node):  # the e-th node of ins has slot ~e until the walk ends
+        j = slots.get(node)
+        if j is None:
+            j = slots[node] = ~len(ins)
+            ins.append(node)
+        return j
+
+    todo = [(q.body, None, None, None)]
     while todo:
-        node, cls, args, live = todo.pop()
-        if live is not None:  # every live field has its slot now
-            steps.append((cls, args, [(i, slots[args[i]]) for i in live]))
-            slots[node] = len(steps)
+        node, cls, args, holes = todo.pop()
+        if holes is not None:  # every live field has its slot now
+            steps.append((cls, args, [(i, slot(args[i])) for i in holes]))
+            k = slots[node] = len(steps)
+            if (isinstance(node, _Bounded) and node.var in node.body.fv
+                    and node.fv <= inner):
+                sub = _plan(node, inner)
+                if sub is not None:
+                    subs.append((k, sub[0], sub[1], [slot(a) for a in sub[2]]))
         elif node not in slots:
             if isinstance(node, tuple):
                 cls, args = _pack, list(node)
             else:
                 cls = type(node)
                 args = [getattr(node, name) for name in cls.__slots__]
+            binder = getattr(node, "var", None)
+            if scope and binder in inner:
+                return None
             # an atom's terms are live with it; a quantifier over var binds
             # var in its body, the last field
-            end = len(args) - 1 if getattr(node, "var", None) == var else len(args)
+            end = len(args) - 1 if binder == var else len(args)
             live = [i for i in range(end) if isinstance(args[i], tuple)
                     or isinstance(args[i], Node) and var in args[i].fv]
-            todo.append((node, cls, args, live))
+            # a field in which a variable of scope is free comes from ins
+            holes = live + [i for i, a in enumerate(args) if i not in live
+                            and isinstance(a, Node) and not scope.isdisjoint(a.fv)]
+            todo.append((node, cls, args, holes))
             todo.extend((args[i], None, None, None) for i in live)
-    return steps
+    if ins:  # ins take the first slots
+        n = len(ins)
+        steps = [(cls, args, [(i, j + n if j >= 0 else ~j) for i, j in holes])
+                 for cls, args, holes in steps]
+        subs = [(k + n, s, u, [j + n if j >= 0 else ~j for j in pick])
+                for k, s, u, pick in subs]
+    return steps, subs, ins
 
 
 def _instances(f, top):
     """The body of bounded quantifier f at x = 0, 1, ..., top, each built only
     when it is asked for, so that a budget refusal inside one instance comes
     before the next is built.  An instance rebuilds the nodes in which x is
-    free, one constructor call each, by the steps of one plan (_plan); every
-    other node is shared with the body."""
+    free, one constructor call each, by the steps of f's plan; every other
+    node is shared with the body.  The plan of a quantifier in the sentence
+    as parsed is made once (_plan) and stored on it, with the plans of the
+    quantifiers nested in it; a quantifier an instance builds takes its plan
+    from those, unless it re-binds a variable, and walks no body again."""
     if f.var not in f.body.fv:
         yield from itertools.repeat(f.body, top + 1)
         return
-    steps = _plan(f.body, f.var)
+    if f.plan is None:
+        f.plan = _plan(f)
+    steps, subs, vals = f.plan
     for n in _numerals(top):
-        built = [n]
+        built = vals + [n]
         for cls, args, holes in steps:
             for i, k in holes:
                 args[i] = built[k]
             built.append(cls(*args))
+        for k, sub_steps, sub_subs, pick in subs:
+            node = built[k]
+            if node.plan is None:
+                node.plan = (sub_steps, sub_subs, [built[j] for j in pick])
         yield built[-1]
 
 

@@ -242,6 +242,24 @@ def test_clauses_12_13_bounded_quantifiers():
     wrong2 = s2.copy()
     wrong2.sent_map[g] = 0
     assert tc.is_evaluation(wrong2, EMPTY).clause == 13
+    # nested quantifiers, whose plans were stored while the evaluation was
+    # built: a broken inner quantifier is still caught, and named
+    h = pf("ex x <= 2 . all y <= x . ex z <= y . P(x + z)")
+    m = tc.FiniteStructure({"P": [0, 2, 3]})
+    s3 = tc.build_evaluation(h, m)
+    assert tc.is_evaluation(s3, m) is True
+    inner = [q for q in s3.sent_map if isinstance(q, (tc.BoundedAll, tc.BoundedEx)) and q is not h]
+    assert len(inner) == 9 and all(q.plan is not None for q in inner)
+    for q in inner:
+        clause = 12 if isinstance(q, tc.BoundedAll) else 13
+        missing = s3.copy()
+        del missing.sent_map[_by_subst(q, s3.term_map[q.bound])[-1]]
+        failed = tc.is_evaluation(missing, m)
+        assert (failed.clause, failed.witness) == (clause, q)
+        flipped = s3.copy()
+        flipped.sent_map[q] = 1 - flipped.sent_map[q]
+        failed = tc.is_evaluation(flipped, m)
+        assert (failed.clause, failed.witness) == (clause, q)
 
 
 def test_evaluation_term_values_match_oracle():
@@ -404,6 +422,26 @@ def test_intern_table_does_not_grow_across_ops():
     assert len(hashcons._TABLE) == before
     op()
     assert len(hashcons._TABLE) == before
+
+
+def test_stored_plans_form_no_reference_cycle():
+    # a plan stored on a quantifier must not keep it, or any node, alive:
+    # with the collector off, reference counting alone empties the table
+    def op():
+        f = pf("all x <= 6 . ex y <= x . all z <= y + 1 . P(x + z) | R(y, z)")
+        s = tc.build_evaluation(f, EMPTY)
+        assert tc.is_evaluation(s, EMPTY) is True
+        assert sum(g.plan is not None for g in s.sent_map if isinstance(g, tc.BoundedAll)) > 20
+        return len(hashcons._TABLE)
+
+    gc.collect()
+    before = len(hashcons._TABLE)
+    gc.disable()
+    try:
+        assert op() > before + 100
+        assert len(hashcons._TABLE) == before
+    finally:
+        gc.enable()
 
 
 def test_intern_entry_leaves_with_the_last_reference():
@@ -635,6 +673,112 @@ def test_instances_are_built_one_at_a_time():
         first = next(tc._instances(f, 10**9))
         assert time.perf_counter() - start < 1.0
         assert first is tc.subst(f.body, f.var, tc.ZERO_T)
+
+
+def _check_derived_plans(f, top, levels):
+    """Check against subst the instances of every bounded quantifier that
+    the instances of f build, down to `levels` quantifiers below f; return
+    how many of them took their plan from the instance that built them."""
+    derived = 0
+    seen = set()
+    for inst in list(tc._instances(f, top)):
+        for q in _subformulas(inst):
+            if isinstance(q, (tc.BoundedAll, tc.BoundedEx)) and q not in seen:
+                seen.add(q)
+                derived += q.plan is not None
+                assert list(tc._instances(q, top)) == _by_subst(q, top)
+                if levels > 1:
+                    derived += _check_derived_plans(q, top, levels - 1)
+    return derived
+
+
+def test_derived_plans_match_subst_on_the_random_corpus():
+    rng = random.Random(1908)
+    derived = 0
+    for _ in range(150):
+        f = rand_delta0(rng, depth=5)
+        if isinstance(f, (tc.BoundedAll, tc.BoundedEx)):
+            derived += _check_derived_plans(f, 3, 3)
+    assert derived > 100
+
+
+def test_derived_plans_match_subst_on_open_formulas():
+    # bodies with unbounded quantifiers, re-binding and names free outside
+    rng = random.Random(1909)
+    derived = 0
+    for _ in range(200):
+        body = rand_open_formula(rng, 5)
+        for name in NAMES:
+            derived += _check_derived_plans(tc.BoundedEx(name, tc.Var("z"), body), 2, 2)
+    assert derived > 500
+
+
+@pytest.mark.parametrize("text", [
+    # the inner quantifier binds x again
+    "all x <= 3 . ex y <= x . all x <= y . (P(x) | R(x, y))",
+    # P(x) sits both under and outside the re-binding of x
+    "all x <= 3 . (P(x) & ex y <= 2 . (P(x) | all x <= y . P(x)))",
+    # the middle quantifier's variable is free in an inner bound only
+    "all x <= 3 . ex y <= x . all z <= y + 1 . P(x + z)",
+])
+def test_derived_plans_match_subst_on_edge_cases(text):
+    f = pf(text)
+    _check_derived_plans(f, 3, 3)
+    m = tc.FiniteStructure({"P": [1, 3], "R": [[0, 1], [2, 2]]})
+    assert tc.tr_eval(f, m) == tc.direct_eval(f, m)
+    assert tc.is_evaluation(tc.build_evaluation(f, m), m) is True
+
+
+def test_interleaved_instances_share_plans_safely():
+    f = pf("all x <= 3 . ex y <= x + 2 . (P(x + y) | R(y, exp(x)))")
+    one, two = list(tc._instances(f, 2))[1:]
+    assert one.plan is not None and one.plan[0] is two.plan[0]  # one template
+    for a, b in ((one, one), (one, two)):
+        got_a, got_b = [], []
+        for x, y in zip(tc._instances(a, 4), tc._instances(b, 4)):
+            got_a.append(x)
+            got_b.append(y)
+        assert got_a == _by_subst(a, 4) and got_b == _by_subst(b, 4)
+
+
+def _three_levels(rng):
+    """A sentence of three nested bounded quantifiers whose inner bounds are
+    the outer variables; the innermost binds x again now and then."""
+    last = rng.choice(("z", "z", "x"))
+    kinds = (tc.BoundedAll, tc.BoundedEx)
+    body = rand_delta0(rng, 2, sorted({"x", "y", last}))
+    f = rng.choice(kinds)(last, tc.Plus(tc.Var("y"), tc.numeral(rng.randrange(3))), body)
+    f = rng.choice(kinds)("y", tc.Var("x"), f)
+    return rng.choice(kinds)("x", tc.numeral(rng.randrange(6)), f)
+
+
+def test_three_level_sentences_agree_with_direct_eval():
+    rng = random.Random(1910)
+    for _ in range(150):
+        f = _three_levels(rng)
+        m = rand_structure(rng)
+        s = tc.build_evaluation(f, m)
+        assert (s.sent_map[f] == 1) == tc.tr_eval(f, m) == tc.direct_eval(f, m)
+        assert tc.is_evaluation(s, m) is True
+
+
+def test_plans_are_made_once_per_quantifier_of_the_sentence(monkeypatch):
+    walks = []
+    plan = tc._plan
+
+    def counted(q, *scope):
+        walks.append(q)
+        return plan(q, *scope)
+
+    monkeypatch.setattr(tc, "_plan", counted)
+    for text in ("ex v0 <= %d . ex v1 <= 3 . all v2 <= 3 . (R(3)) & (neg exp(0) = exp(2))",
+                 "ex v0 <= %d . ex v1 <= v0 . all v2 <= 3 . R(v0 + v2) & neg v1 = exp(v2)"):
+        for top in (35, 70):
+            s = tc.build_evaluation(pf(text % top), EMPTY)
+            assert len(walks) <= 3
+            del walks[:]
+            assert tc.is_evaluation(s, EMPTY) is True
+            assert walks == []
 
 
 # --------------------------------------- tokenizer-based reference parser
