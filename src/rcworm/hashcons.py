@@ -1,5 +1,5 @@
 """One hash-consing table for the syntax trees of truth terms, truth formulas
-and RC formulas, and for ordinal notations and their Veblen terms.
+and RC formulas, for ordinal notations and their Veblen terms, and for worms.
 
 Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
 ML Workshop 2006): building a node whose class and fields equal a live node's

@@ -14,10 +14,12 @@ unbounded.  The bounded fragment is decided three independent ways:
 is_evaluation checks the thirteen local-correctness clauses one by one and
 reports the first offender, so any disagreement between the three routes is
 attributable to a specific clause.  build_evaluation and is_evaluation take
-a bounded quantifier's instances from its plan (_instances).  The plans are
-made once per quantifier of the parsed sentence and stored on the quantifier
-nodes, so is_evaluation reuses those build_evaluation made.  direct_eval
-instantiates by subst, independently of the plans.
+a bounded quantifier's instances from its plan (_instances), the one builder
+of instance sentences.  The plans are made once per quantifier of the parsed
+sentence and stored on the quantifier nodes, so is_evaluation reuses those
+build_evaluation made.  direct_eval builds no instance: it evaluates a
+quantifier's body under an assignment of numbers to variables, as Tarski's
+satisfaction clause does, independently of the plans.
 """
 
 from .errors import BudgetExceededError, NotInFragmentError, ParseError
@@ -28,13 +30,15 @@ from functools import reduce
 import itertools
 import json
 import re
+from types import MappingProxyType
 
 
 # ------------------------------------------------------------ node caches
 #
 # Terms and formulas are hash-consed (hashcons.Node); each node's _fill()
 # sets `fv`, the frozenset of the variables free in it, when it is built;
-# Zero and Succ also set `value`: the number of a numeral, or None.
+# Zero and Succ also set `value`: the number of a numeral, or None.  A
+# formula's _fill() sets `bounded`: whether every quantifier in it is bounded.
 
 _NO_VARS = frozenset()
 
@@ -56,17 +60,25 @@ def _fill_pair(node):
     node.fv = _union(node.left.fv, node.right.fv)
 
 
-def _fill_terms(node):
+def _fill_literal(node):
     node.fv = reduce(_union, (t.fv for t in node.terms), _NO_VARS)
+    node.bounded = True
+
+
+def _fill_connective(node):
+    _fill_pair(node)
+    node.bounded = node.left.bounded and node.right.bounded
 
 
 def _fill_bounded(node):
     node.fv = _union(node.bound.fv, _bind(node.body.fv, node.var))
+    node.bounded = node.body.bounded
     node.plan = None
 
 
 def _fill_unbounded(node):
     node.fv = _bind(node.body.fv, node.var)
+    node.bounded = False
 
 
 def _new_literal(cls, pred, terms):
@@ -157,7 +169,7 @@ def _pow2(v):
 
 
 class TaitFormula(Node):
-    __slots__ = ("fv",)
+    __slots__ = ("fv", "bounded")
 
     def __repr__(self):
         return render_formula(self)
@@ -168,23 +180,23 @@ class Atom(TaitFormula):
 
     __slots__ = ("pred", "terms")
     __new__ = _new_literal
-    _fill = _fill_terms
+    _fill = _fill_literal
 
 
 class NegAtom(TaitFormula):
     __slots__ = ("pred", "terms")
     __new__ = _new_literal
-    _fill = _fill_terms
+    _fill = _fill_literal
 
 
 class AndF(TaitFormula):
     __slots__ = ("left", "right")
-    _fill = _fill_pair
+    _fill = _fill_connective
 
 
 class OrF(TaitFormula):
     __slots__ = ("left", "right")
-    _fill = _fill_pair
+    _fill = _fill_connective
 
 
 class _Bounded(TaitFormula):
@@ -224,43 +236,6 @@ def atom_le(a, b):
 def free_vars(node):
     """The variables free in a term or formula, as a new set."""
     return set(node.fv)
-
-
-def is_delta0(f):
-    if isinstance(f, (Atom, NegAtom)):
-        return True
-    if isinstance(f, (AndF, OrF)):
-        return is_delta0(f.left) and is_delta0(f.right)
-    if isinstance(f, (BoundedAll, BoundedEx)):
-        return is_delta0(f.body)
-    return False
-
-
-def subst_term(t, name, repl):
-    if name not in t.fv:
-        return t
-    if isinstance(t, Var):
-        return repl
-    if isinstance(t, (Succ, Exp)):
-        return type(t)(subst_term(t.arg, name, repl))
-    return type(t)(subst_term(t.left, name, repl), subst_term(t.right, name, repl))
-
-
-def subst(f, name, repl):
-    """Replace the free variable `name` by the closed term `repl`."""
-    if not isinstance(f, TaitFormula):
-        raise TypeError("not a formula: %r" % (f,))
-    if name not in f.fv:
-        return f
-    if isinstance(f, (Atom, NegAtom)):
-        return type(f)(f.pred, tuple(subst_term(t, name, repl) for t in f.terms))
-    if isinstance(f, (AndF, OrF)):
-        return type(f)(subst(f.left, name, repl), subst(f.right, name, repl))
-    if isinstance(f, (BoundedAll, BoundedEx)):
-        # `name` may be free in the bound only, with the body shadowing it
-        body = f.body if f.var == name else subst(f.body, name, repl)
-        return type(f)(f.var, subst_term(f.bound, name, repl), body)
-    return type(f)(f.var, subst(f.body, name, repl))
 
 
 def _pack(*terms):
@@ -388,7 +363,7 @@ def _charge(left, top):
 
 
 def _require_delta0_sentence(f):
-    if not is_delta0(f):
+    if not isinstance(f, TaitFormula) or not f.bounded:
         raise NotInFragmentError("unbounded quantifier in a bounded-only context")
     if f.fv:
         raise NotInFragmentError("free variables: %s" % ", ".join(sorted(f.fv)))
@@ -451,7 +426,9 @@ def load_structure(source):
     return FiniteStructure(data)
 
 
-def eval_term(t):
+def eval_term(t, env=MappingProxyType({})):
+    """The value of t, reading each variable's value from env, a mapping from
+    names to naturals; a variable env lacks is refused."""
     if isinstance(t, Zero):
         return 0
     if isinstance(t, Succ):
@@ -460,15 +437,18 @@ def eval_term(t):
         while isinstance(t, Succ):
             n += 1
             t = t.arg
-        return eval_term(t) + n
+        return eval_term(t, env) + n
     if isinstance(t, Plus):
-        return eval_term(t.left) + eval_term(t.right)
+        return eval_term(t.left, env) + eval_term(t.right, env)
     if isinstance(t, Times):
-        return eval_term(t.left) * eval_term(t.right)
+        return eval_term(t.left, env) * eval_term(t.right, env)
     if isinstance(t, Exp):
-        return _pow2(eval_term(t.arg))
+        return _pow2(eval_term(t.arg, env))
     if isinstance(t, Var):
-        raise NotInFragmentError("open term: %s" % t.name)
+        n = env.get(t.name)
+        if n is None:
+            raise NotInFragmentError("open term: %s" % t.name)
+        return n
     raise TypeError("not a term: %r" % (t,))
 
 
@@ -481,30 +461,33 @@ def _atom_truth(pred, values, structure):
 
 
 def direct_eval(f, structure):
-    """Plain recursive truth over the standard model; the oracle.  It
-    instantiates a bounded quantifier by subst, one numeral at a time, and
-    charges each quantifier it visits its top + 1 instances against
-    TRUTH_CAP before expanding it.  Nothing is memoized, so a sentence that
-    repeats a subsentence can be refused here though tr_eval answers it."""
+    """Plain recursive truth over the standard model; the oracle.  Like
+    Tarski's satisfaction clause, it evaluates a bounded quantifier's body
+    under the assignment extended by x = 0, 1, ..., top in turn, and builds
+    no instance sentence.  It charges each quantifier it visits its top + 1
+    instances against TRUTH_CAP before evaluating them.  Nothing is
+    memoized, so a sentence that repeats a subsentence can be refused here
+    though tr_eval answers it."""
     _require_delta0_sentence(f)
-    return _direct(f, structure, [TRUTH_CAP])
+    return _direct(f, structure, [TRUTH_CAP], {})
 
 
-def _direct(f, structure, left):
+def _direct(f, structure, left, env):
+    """The truth of f under env, which assigns every variable free in f."""
     if isinstance(f, Atom):
-        return _atom_truth(f.pred, [eval_term(t) for t in f.terms], structure)
+        return _atom_truth(f.pred, [eval_term(t, env) for t in f.terms], structure)
     if isinstance(f, NegAtom):
-        return not _atom_truth(f.pred, [eval_term(t) for t in f.terms], structure)
+        return not _atom_truth(f.pred, [eval_term(t, env) for t in f.terms], structure)
     if isinstance(f, AndF):
-        return _direct(f.left, structure, left) and _direct(f.right, structure, left)
+        return _direct(f.left, structure, left, env) and _direct(f.right, structure, left, env)
     if isinstance(f, OrF):
-        return _direct(f.left, structure, left) or _direct(f.right, structure, left)
-    if isinstance(f, (BoundedAll, BoundedEx)):
-        top = eval_term(f.bound)
-        _charge(left, top)
-        bits = (_direct(subst(f.body, f.var, n), structure, left) for n in _numerals(top))
-        return all(bits) if isinstance(f, BoundedAll) else any(bits)
-    raise NotInFragmentError("unbounded quantifier in a bounded-only context")
+        return _direct(f.left, structure, left, env) or _direct(f.right, structure, left, env)
+    # a bounded quantifier, since f is in the bounded fragment
+    top = eval_term(f.bound, env)
+    _charge(left, top)
+    var, body = f.var, f.body
+    bits = (_direct(body, structure, left, {**env, var: n}) for n in range(top + 1))
+    return all(bits) if isinstance(f, BoundedAll) else any(bits)
 
 
 # ------------------------------------------------------ partial evaluations
@@ -558,7 +541,7 @@ def is_evaluation(s, structure):
         if not isinstance(t, ArithTerm) or t.fv:
             return FailedClause(1, t)
     for f in sm:
-        if not isinstance(f, TaitFormula) or f.fv or not is_delta0(f):
+        if not isinstance(f, TaitFormula) or f.fv or not f.bounded:
             return FailedClause(1, f)
     for f, v in sm.items():
         if v not in (0, 1):
@@ -678,7 +661,7 @@ def _build_sent(f, structure, out, left):
         a = _build_sent(f.left, structure, out, left)
         b = _build_sent(f.right, structure, out, left)
         v = a & b if isinstance(f, AndF) else a | b
-    elif isinstance(f, (BoundedAll, BoundedEx)):
+    else:  # a bounded quantifier, since f is in the bounded fragment
         top = _build_term(f.bound, out)
         _charge(left, top)
         bits = [_build_sent(g, structure, out, left) for g in _instances(f, top)]
@@ -686,8 +669,6 @@ def _build_sent(f, structure, out, left):
             v = 1 if all(b == 1 for b in bits) else 0
         else:
             v = 1 if any(b == 1 for b in bits) else 0
-    else:
-        raise NotInFragmentError("unbounded quantifier in a bounded-only context")
     out.sent_map[f] = v
     return v
 
@@ -734,7 +715,7 @@ def classify(f):
         if not kinds or kinds[-1] != k:
             kinds.append(k)
         f = f.body
-    if not is_delta0(f):
+    if not isinstance(f, TaitFormula) or not f.bounded:
         raise NotInFragmentError("formula is not in prenex form")
     if not kinds:
         return ("delta0", 0)

@@ -11,6 +11,7 @@ level are folded over the worm's least-letter splits from an explicit stack
 from __future__ import annotations
 
 from .errors import BudgetExceededError, NotInFragmentError
+from .hashcons import Node
 from .ordinal import (
     ZERO,
     ONE,
@@ -26,23 +27,18 @@ from .ordinal import (
 )
 
 
-class Worm:
-    __slots__ = ("letters", "_hash")
+class Worm(Node):
+    """A hash-consed word: equal letter tuples give the one node."""
 
-    def __init__(self, letters=()):
-        self.letters = tuple(letters)
+    __slots__ = ("letters",)
+
+    def __new__(cls, letters=()):
+        return Node.__new__(cls, tuple(letters))
+
+    def _fill(self):
         for a in self.letters:
             if not isinstance(a, Ordinal):
                 raise TypeError("worm letters must be ordinal notations")
-        self._hash = hash(("worm", self.letters))
-
-    def __eq__(self, other):
-        if not isinstance(other, Worm):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
 
     def __len__(self):
         return len(self.letters)

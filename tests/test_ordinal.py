@@ -76,6 +76,8 @@ def test_from_int_refuses_above_summand_cap():
         from_int(MAX_SUMMANDS + 1)
     with pytest.raises(OrdinalOverflowError):
         from_int(10**20)
+    with pytest.raises(UndefinedError, match="no negative ordinals"):
+        from_int(-1)
 
 
 def test_compare_basics():
@@ -179,6 +181,8 @@ def test_godel_decode_rejects_least_invalid_code():
         godel_decode(6)
     for n in range(6):
         godel_decode(n)  # all smaller codes are valid
+    with pytest.raises(InvalidCodeError, match="codes are naturals"):
+        godel_decode(-1)
     # a bad part deep inside is reported under the code the caller passed
     n = ordinal._pair(ordinal._pair(0, 6), 0) + 1
     with pytest.raises(InvalidCodeError, match=r"^code %d " % n):

@@ -343,6 +343,8 @@ def test_fgh_micro_values():
     assert fgh_eval(from_int(2), 1) == 5
     assert fgh_eval(OMEGA, 1) == 5
     assert fgh_eval(EPS0, 1) == 5
+    with pytest.raises(ValueError, match="natural number"):
+        fgh_eval(ONE, -1)
 
 
 def test_fgh_monotone_in_index_at_one():

@@ -11,7 +11,7 @@ from hypothesis import given
 from conftest import (
     SMALL_ORDINALS, large_pairs, ordinals, rand_formula, rand_ordinal, rand_worm, rc_formulas, worms,
 )
-from rcworm import rc, syntax
+from rcworm import hashcons, rc, syntax
 from rcworm.errors import BudgetExceededError, DomainError, OrdinalOverflowError
 from rcworm.ordinal import (
     EPS0,
@@ -80,6 +80,12 @@ def test_parse_worm_forms():
     assert parse_worm("[0]") == Worm((ZERO,))
     assert parse_worm("[2, 1, 0]") == Worm((from_int(2), ONE, ZERO))
     assert parse_worm("[w, w+1]") == Worm((OMEGA, add(OMEGA, ONE)))
+    # worms are interned: equal letters give the one node
+    assert parse_worm("[2, 1, 0]") is Worm([from_int(2), ONE, ZERO])
+    # a letter that is no ordinal notation is refused before it is interned
+    with pytest.raises(TypeError, match="ordinal notations"):
+        Worm((ZERO, 1))
+    assert (Worm, (ZERO, 1)) not in hashcons._TABLE
 
 
 def test_parse_formula_forms():

@@ -58,10 +58,13 @@ def test_term_and_free_vars():
 
 
 def test_subst_respects_shadowing():
-    f = pf("P(x) & (all x <= 2 . P(x))")
-    g = tc.subst(f, "x", tc.numeral(1))
-    want = pf("P(S(0)) & (all x <= 2 . P(x))")
-    assert g == want
+    # an instance puts the numeral for x only where x is free, and
+    # direct_eval's assignment of x yields to a quantifier that binds x again
+    f = pf("ex x <= 1 . P(x) & (all x <= 2 . P(x))")
+    assert list(tc._instances(f, 1))[1] == pf("P(S(0)) & (all x <= 2 . P(x))")
+    m = tc.FiniteStructure({"P": [1]})
+    assert tc.direct_eval(f, m) is tc.tr_eval(f, m) is False
+    assert tc.direct_eval(f, tc.FiniteStructure({"P": [0, 1, 2]})) is True
 
 
 # --------------------------------------------------------------- structure
@@ -225,6 +228,12 @@ def test_clauses_10_11_connectives():
     broken2 = s2.copy()
     broken2.sent_map[disjunction] = 0
     assert tc.is_evaluation(broken2, EMPTY).clause == 11
+    # a disjunct missing from the domain
+    for part in (a, b):
+        missing2 = s2.copy()
+        del missing2.sent_map[part]
+        failed = tc.is_evaluation(missing2, EMPTY)
+        assert (failed.clause, failed.witness) == (11, disjunction)
 
 
 def test_clauses_12_13_bounded_quantifiers():
@@ -242,6 +251,15 @@ def test_clauses_12_13_bounded_quantifiers():
     wrong2 = s2.copy()
     wrong2.sent_map[g] = 0
     assert tc.is_evaluation(wrong2, EMPTY).clause == 13
+    # the bound term missing from the domain: a bound no other term or atom
+    # mentions, so no earlier clause sees it go
+    for text, clause in (("all x <= 0 + 1 . x <= 1", 12), ("ex y <= 1 * 1 . y = 1", 13)):
+        q = pf(text)
+        s4 = tc.build_evaluation(q, EMPTY)
+        assert tc.is_evaluation(s4, EMPTY) is True
+        del s4.term_map[q.bound]
+        failed = tc.is_evaluation(s4, EMPTY)
+        assert (failed.clause, failed.witness) == (clause, q)
     # nested quantifiers, whose plans were stored while the evaluation was
     # built: a broken inner quantifier is still caught, and named
     h = pf("ex x <= 2 . all y <= x . ex z <= y . P(x + z)")
@@ -493,8 +511,9 @@ def test_deep_numerals_evaluate():
     assert tc.is_evaluation(s, EMPTY) is True
 
 
-# The recursive walks that per-node free-variable sets replaced, kept as the
-# reference for free_vars on terms and formulas, subst_term and subst.
+# The recursive walks that per-node caches replaced, kept as the reference:
+# for free_vars on terms and formulas, for the `bounded` flag, and for the
+# substitution a plan's instance performs.
 
 
 def ref_term_vars(t, acc=None):
@@ -529,6 +548,16 @@ def ref_free_vars(f, acc=None):
         inner.discard(f.var)
         acc |= inner
     return acc
+
+
+def ref_is_delta0(f):
+    if isinstance(f, (tc.Atom, tc.NegAtom)):
+        return True
+    if isinstance(f, (tc.AndF, tc.OrF)):
+        return ref_is_delta0(f.left) and ref_is_delta0(f.right)
+    if isinstance(f, (tc.BoundedAll, tc.BoundedEx)):
+        return ref_is_delta0(f.body)
+    return False
 
 
 def ref_subst_term(t, name, repl):
@@ -590,22 +619,28 @@ def rand_open_formula(rng, depth):
 
 
 def test_cached_vars_and_subst_match_the_recursive_walks():
+    # substitution in the library is a plan's instance for formulas, and an
+    # assignment read by eval_term for terms
     rng = random.Random(5150)
     changed = shadowed = 0
     for _ in range(500):
         f = rand_open_formula(rng, 4)
         assert tc.free_vars(f) == ref_free_vars(f)
         for name in NAMES:
-            repl = tc.numeral(rng.randrange(6))
-            got, want = tc.subst(f, name, repl), ref_subst(f, name, repl)
+            n = rng.randrange(6)
+            repl = tc.numeral(n)
+            got = list(tc._instances(tc.BoundedAll(name, repl, f), n))[n]
+            want = ref_subst(f, name, repl)
             assert tc.render_formula(got) == tc.render_formula(want)
             assert got is want
             changed += got is not f
             t = rand_open_term(rng, 3)
             assert tc.free_vars(t) == ref_term_vars(t)
-            assert tc.render_term(tc.subst_term(t, name, repl)) == tc.render_term(
-                ref_subst_term(t, name, repl)
-            )
+            env = {v: rng.randrange(4) for v in NAMES}
+            closed = t
+            for v in NAMES:
+                closed = ref_subst_term(closed, v, tc.numeral(env[v]))
+            assert tc.eval_term(t, env) == tc.eval_term(closed)
         shadowed += any(
             isinstance(g, (tc.BoundedAll, tc.BoundedEx)) and g.var in g.bound.fv
             for g in _subformulas(f)
@@ -621,8 +656,20 @@ def _subformulas(f):
             yield from _subformulas(getattr(f, part))
 
 
+def test_bounded_flag_matches_the_recursive_walk():
+    rng = random.Random(5151)
+    seen = set()
+    for _ in range(500):
+        for g in _subformulas(rand_open_formula(rng, 4)):
+            assert g.bounded is ref_is_delta0(g)
+            seen.add(g.bounded)
+    for _ in range(100):
+        assert rand_delta0(rng, depth=4).bounded is True
+    assert seen == {True, False}
+
+
 def _by_subst(f, top):
-    return [tc.subst(f.body, f.var, tc.numeral(n)) for n in range(top + 1)]
+    return [ref_subst(f.body, f.var, tc.numeral(n)) for n in range(top + 1)]
 
 
 def test_instances_match_subst_on_the_random_corpus():
@@ -672,7 +719,13 @@ def test_instances_are_built_one_at_a_time():
         start = time.perf_counter()
         first = next(tc._instances(f, 10**9))
         assert time.perf_counter() - start < 1.0
-        assert first is tc.subst(f.body, f.var, tc.ZERO_T)
+        assert first is ref_subst(f.body, f.var, tc.ZERO_T)
+
+
+def _assert_routes_agree(f, m):
+    s = tc.build_evaluation(f, m)
+    assert (s.sent_map[f] == 1) == tc.tr_eval(f, m) == tc.direct_eval(f, m)
+    assert tc.is_evaluation(s, m) is True
 
 
 def _check_derived_plans(f, top, levels):
@@ -720,13 +773,20 @@ def test_derived_plans_match_subst_on_open_formulas():
     "all x <= 3 . (P(x) & ex y <= 2 . (P(x) | all x <= y . P(x)))",
     # the middle quantifier's variable is free in an inner bound only
     "all x <= 3 . ex y <= x . all z <= y + 1 . P(x + z)",
+    # more re-bindings, which direct_eval's assignment must follow too
+    "all x <= 3 . (all x <= x . P(x)) & Q(x)",
+    "ex x <= 2 . all y <= x . ex x <= y + 1 . R(x, y)",
+    "all x <= 2 . ex x <= x + 1 . P(x) | Q(x)",  # the inner bound reads the outer x
+    "ex x <= 3 . all y <= x . (ex x <= y . R(x, y)) & neg Q(x)",
+    "all x <= 2 . ex y <= 2 . all x <= y . R(x, y) | P(x)",
 ])
 def test_derived_plans_match_subst_on_edge_cases(text):
     f = pf(text)
     _check_derived_plans(f, 3, 3)
-    m = tc.FiniteStructure({"P": [1, 3], "R": [[0, 1], [2, 2]]})
-    assert tc.tr_eval(f, m) == tc.direct_eval(f, m)
-    assert tc.is_evaluation(tc.build_evaluation(f, m), m) is True
+    rng = random.Random(text)
+    for m in [EMPTY, tc.FiniteStructure({"P": [1, 3], "Q": [0, 2], "R": [[0, 1], [2, 2]]})] + [
+            rand_structure(rng) for _ in range(20)]:
+        _assert_routes_agree(f, m)
 
 
 def test_interleaved_instances_share_plans_safely():
@@ -755,11 +815,35 @@ def _three_levels(rng):
 def test_three_level_sentences_agree_with_direct_eval():
     rng = random.Random(1910)
     for _ in range(150):
-        f = _three_levels(rng)
-        m = rand_structure(rng)
-        s = tc.build_evaluation(f, m)
-        assert (s.sent_map[f] == 1) == tc.tr_eval(f, m) == tc.direct_eval(f, m)
-        assert tc.is_evaluation(s, m) is True
+        _assert_routes_agree(_three_levels(rng), rand_structure(rng))
+
+
+def _rebind(node):
+    """node with each variable v<i> renamed x<i mod 2>: a quantifier binds
+    the name of the one two levels above it again, capturing its variable."""
+    if isinstance(node, tuple):
+        return tuple(_rebind(t) for t in node)
+    if not isinstance(node, hashcons.Node):
+        return node
+    fields = [_rebind(getattr(node, name)) for name in type(node).__slots__]
+    if isinstance(node, (tc.Var, tc.BoundedAll, tc.BoundedEx)):
+        fields[0] = "x%d" % (int(fields[0][1:]) % 2)
+    return type(node)(*fields)
+
+
+def _quantifiers(f):
+    return [g for g in _subformulas(f) if isinstance(g, (tc.BoundedAll, tc.BoundedEx))]
+
+
+def test_rebinding_random_sentences_agree_with_direct_eval():
+    rng = random.Random(1911)
+    rebound = 0
+    for _ in range(300):
+        f = _rebind(rand_delta0(rng, depth=4))
+        assert not f.fv
+        rebound += any(g.var == q.var for q in _quantifiers(f) for g in _quantifiers(q.body))
+        _assert_routes_agree(f, rand_structure(rng))
+    assert rebound > 40
 
 
 def test_plans_are_made_once_per_quantifier_of_the_sentence(monkeypatch):
